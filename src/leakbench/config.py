@@ -2,19 +2,21 @@
 
 One config document drives every subcommand.  Validation is strict:
 unknown keys are errors, as are missing required keys, so a typo never
-silently falls back to a default.  The dataset csv path may be omitted
-when the LEAKBENCH_DATA environment variable points at the file.
+silently falls back to a default.  The dataclasses are the schema: a
+block's keys, required keys and value types come from its dataclass's
+fields, and its value checks run in the dataclass's ``__post_init__``.
+The dataset csv path may be omitted when the LEAKBENCH_DATA environment
+variable points at the file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
-from .data import SynthConfig
-from .experiment import DatasetSpec, GridConfig, ModelParams
-from .pipeline import SplitSpec
-from .resample import ResamplerSpec
+from .experiment import DatasetSpec, GridConfig, document_fields
 
 __all__ = ["ConfigError", "DATA_ENV_VAR", "build_grid_config", "load_config_file"]
 
@@ -38,10 +40,6 @@ def load_config_file(path: str) -> dict:
     return doc
 
 
-_TOP_REQUIRED = {"dataset", "n_values", "protocols", "resampler", "split", "seeds"}
-_TOP_OPTIONAL = {"scaler", "model", "output_dir", "formats", "allow_quadratic"}
-
-
 def build_grid_config(
     doc: dict,
     seed_override: int | None = None,
@@ -50,90 +48,75 @@ def build_grid_config(
     allow_quadratic_override: bool | None = None,
 ) -> GridConfig:
     """Validate a config document and apply CLI overrides."""
-    _check_keys(doc, _TOP_REQUIRED | _TOP_OPTIONAL, _TOP_REQUIRED, "config")
-
-    dataset = _parse_dataset(_expect(doc, "dataset", dict))
-    n_values = _int_list(doc, "n_values")
-    protocols = _str_list(doc, "protocols")
-    resampler = _parse_resampler(_expect(doc, "resampler", dict))
-    split = _parse_split(_expect(doc, "split", dict))
-    seeds = _int_list(doc, "seeds")
-    scaler = doc.get("scaler", "standardize")
-    if not isinstance(scaler, str):
-        raise ConfigError("scaler must be a string")
-    model = _parse_model(doc.get("model", {}))
-    output_dir = doc.get("output_dir", "leakbench_out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir must be a string")
-    formats = tuple(_str_list(doc, "formats")) if "formats" in doc else ("json", "csv", "markdown")
-    allow_quadratic = doc.get("allow_quadratic", False)
-    if not isinstance(allow_quadratic, bool):
-        raise ConfigError("allow_quadratic must be a boolean")
-
+    overrides: dict = {}
     if seed_override is not None:
-        seeds = [seed_override]
+        overrides["seeds"] = (seed_override,)
     if out_override is not None:
-        output_dir = out_override
+        overrides["output_dir"] = out_override
     if formats_override is not None:
-        formats = formats_override
+        overrides["formats"] = formats_override
     if allow_quadratic_override:
-        allow_quadratic = True
+        overrides["allow_quadratic"] = True
+    return _build(GridConfig, doc, "", **overrides)
 
+
+def _build(cls, block, path: str, **overrides):
+    """Construct ``cls`` from the document block at dotted ``path`` ("" for the top)."""
+    keys = document_fields(cls)
+    required = {key for key, needed in keys.items() if needed}
+    _check_keys(block, set(keys), required, path or "config")
+    hints = get_type_hints(cls)
+    prefix = f"{path}." if path else ""
+    values = {key: _parse(hints[key], block[key], prefix + key) for key in keys if key in block}
     try:
-        return GridConfig(
-            dataset=dataset,
-            seeds=tuple(seeds),
-            resampler=resampler,
-            split=split,
-            n_values=tuple(n_values),
-            protocols=tuple(protocols),
-            scaler=scaler,
-            model=model,
-            output_dir=output_dir,
-            formats=tuple(formats),
-            allow_quadratic=allow_quadratic,
-        )
+        return cls(**{**values, **overrides})
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
 
 
-def _parse_dataset(block: dict) -> DatasetSpec:
-    allowed = {"synthetic", "csv", "columns", "feature_degree"}
-    _check_keys(block, allowed, set(), "dataset")
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+_LIST_KINDS = {int: "a non-empty list of integers", str: "a list of strings"}
+
+
+def _is(kind: type, value) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    # number fields accept integers; integer fields reject 2.5 and 2.0
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _parse(kind, value, path: str):
+    """Check one document value against its field's annotation and convert it."""
+    nullable = type(None) in get_args(kind)
+    if nullable:
+        if value is None:
+            return None
+        kind = next(arg for arg in get_args(kind) if arg is not type(None))
+    if kind is DatasetSpec:
+        return _parse_dataset(value)
+    if is_dataclass(kind):
+        return _build(kind, value, path)
+    if get_origin(kind) is tuple:
+        # integer lists (seeds, n_values) must be non-empty; string lists may be empty
+        item = get_args(kind)[0]
+        if isinstance(value, list) and all(_is(item, v) for v in value) and (value or item is not int):
+            return tuple(value)
+        expected = _LIST_KINDS[item]
+    elif _is(kind, value):
+        return float(value) if kind is float else value
+    else:
+        expected = _KINDS[kind]
+    raise ConfigError(f"{path} must be {expected}{' or null' if nullable else ''}")
+
+
+def _parse_dataset(block) -> DatasetSpec:
+    """The dataset block; its csv object maps onto DatasetSpec's csv_path and expect_schema."""
+    _check_keys(block, {"synthetic", "csv", "columns", "feature_degree"}, set(), "dataset")
     if ("synthetic" in block) == ("csv" in block):
         raise ConfigError("dataset must name exactly one of 'synthetic' or 'csv'")
-    columns = None
-    if "columns" in block:
-        columns = tuple(_str_list(block, "columns"))
-    degree = block.get("feature_degree", 1)
-    if not isinstance(degree, int) or isinstance(degree, bool):
-        raise ConfigError("feature_degree must be an integer")
-
-    if "synthetic" in block:
-        synth = _expect(block, "synthetic", dict)
-        s_allowed = {
-            "n_samples",
-            "positive_rate",
-            "n_features",
-            "class_separation",
-            "seed",
-            "fraud_burst",
-        }
-        _check_keys(synth, s_allowed, {"n_samples", "positive_rate"}, "dataset.synthetic")
-        try:
-            synth_cfg = SynthConfig(
-                n_samples=_expect(synth, "n_samples", int),
-                positive_rate=_number(synth, "positive_rate"),
-                n_features=synth.get("n_features", 30),
-                class_separation=_number(synth, "class_separation", 2.0),
-                seed=synth.get("seed", 0),
-                fraud_burst=synth.get("fraud_burst", False),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"dataset.synthetic: {exc}") from None
-        spec = dict(synthetic=synth_cfg, csv_path=None, expect_schema=False)
-    else:
-        csv_block = _expect(block, "csv", dict)
+    doc = {key: value for key, value in block.items() if key != "csv"}
+    if "csv" in block:
+        csv_block = block["csv"]
         _check_keys(csv_block, {"path", "expect_schema"}, set(), "dataset.csv")
         path = csv_block.get("path")
         if path is None:
@@ -143,73 +126,14 @@ def _parse_dataset(block: dict) -> DatasetSpec:
                     "dataset.csv has no 'path' and the "
                     f"{DATA_ENV_VAR} environment variable is not set"
                 )
-        expect_schema = csv_block.get("expect_schema", False)
-        if not isinstance(expect_schema, bool):
-            raise ConfigError("dataset.csv.expect_schema must be a boolean")
-        spec = dict(synthetic=None, csv_path=path, expect_schema=expect_schema)
-
-    try:
-        return DatasetSpec(columns=columns, feature_degree=degree, **spec)
-    except ValueError as exc:
-        raise ConfigError(f"dataset: {exc}") from None
-
-
-def _parse_resampler(block: dict) -> ResamplerSpec:
-    allowed = {"method", "k_neighbors", "m_neighbors", "target_ratio"}
-    _check_keys(block, allowed, {"method"}, "resampler")
-    method = block["method"]
-    if method is not None and not isinstance(method, str):
-        raise ConfigError("resampler.method must be a string or null")
-    try:
-        return ResamplerSpec(
-            method=method,
-            k_neighbors=block.get("k_neighbors", 5),
-            m_neighbors=block.get("m_neighbors", 10),
-            target_ratio=_number(block, "target_ratio", 1.0),
+        doc["csv_path"] = _parse(str, path, "dataset.csv.path")
+        doc["expect_schema"] = _parse(
+            bool, csv_block.get("expect_schema", False), "dataset.csv.expect_schema"
         )
-    except ValueError as exc:
-        raise ConfigError(f"resampler: {exc}") from None
+    return _build(DatasetSpec, doc, "dataset")
 
 
-def _parse_split(block: dict) -> SplitSpec:
-    _check_keys(block, {"strategy", "test_fraction"}, {"strategy"}, "split")
-    strategy = block["strategy"]
-    if not isinstance(strategy, str):
-        raise ConfigError("split.strategy must be a string")
-    try:
-        return SplitSpec(
-            strategy=strategy,
-            test_fraction=_number(block, "test_fraction", 0.2),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"split: {exc}") from None
-
-
-def _parse_model(block) -> ModelParams:
-    if not isinstance(block, dict):
-        raise ConfigError("model must be an object")
-    allowed = {
-        "epochs",
-        "batch_size",
-        "learning_rate",
-        "beta1",
-        "beta2",
-        "epsilon",
-        "threshold",
-    }
-    _check_keys(block, allowed, set(), "model")
-    return ModelParams(
-        epochs=block.get("epochs", 20),
-        batch_size=block.get("batch_size", 256),
-        learning_rate=_number(block, "learning_rate", 1e-3),
-        beta1=_number(block, "beta1", 0.9),
-        beta2=_number(block, "beta2", 0.999),
-        epsilon=_number(block, "epsilon", 1e-8),
-        threshold=_number(block, "threshold", 0.5),
-    )
-
-
-def _check_keys(block: dict, allowed: set, required: set, where: str) -> None:
+def _check_keys(block, allowed: set, required: set, where: str) -> None:
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object")
     unknown = sorted(set(block) - allowed)
@@ -218,41 +142,3 @@ def _check_keys(block: dict, allowed: set, required: set, where: str) -> None:
     missing = sorted(required - set(block))
     if missing:
         raise ConfigError(f"{where} is missing required key(s): {', '.join(missing)}")
-
-
-def _expect(block: dict, key: str, kind: type):
-    value = block[key]
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer")
-    if not isinstance(value, kind):
-        raise ConfigError(f"{key} must be of type {kind.__name__}")
-    return value
-
-
-def _number(block: dict, key: str, default: float | None = None) -> float:
-    if key not in block:
-        if default is None:
-            raise ConfigError(f"missing required key {key}")
-        return default
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number")
-    return float(value)
-
-
-def _int_list(block: dict, key: str) -> list[int]:
-    value = block.get(key)
-    if (
-        not isinstance(value, list)
-        or not value
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
-    ):
-        raise ConfigError(f"{key} must be a non-empty list of integers")
-    return value
-
-
-def _str_list(block: dict, key: str) -> list[str]:
-    value = block.get(key)
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise ConfigError(f"{key} must be a list of strings")
-    return value

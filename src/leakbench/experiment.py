@@ -10,17 +10,25 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, SynthConfig, expand_features, generate_synthetic, load_csv
 from .metrics import MetricReport
-from .model import MlpConfig
-from .pipeline import ContaminationReport, ProtocolSpec, RunArtifacts, SplitSpec, run_protocol
+from .model import MlpConfig, ModelParams
+from .pipeline import (
+    PROTOCOLS,
+    SCALER_METHODS,
+    ContaminationReport,
+    ProtocolSpec,
+    RunArtifacts,
+    SplitSpec,
+    run_protocol,
+)
 from .resample import QUADRATIC_METHODS, ResamplerSpec
-from .seeding import derive_seed
+from .seeding import CELL_SEED, derive_seed
 
 __all__ = [
     "CellResult",
@@ -62,6 +70,10 @@ DEFAULT_N_VALUES = (0, 1, 2, 4, 6, 8, 10, 12, 16)
 # allow_quadratic is set.
 QUADRATIC_ROW_LIMIT = 100_000
 
+# Metadata of a GridConfig field that has a Python default but that config
+# documents must still give.
+DOC_REQUIRED = {"doc_required": True}
+
 
 @dataclass
 class DatasetSpec:
@@ -76,21 +88,14 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if (self.synthetic is None) == (self.csv_path is None):
             raise ValueError("dataset needs exactly one of a synthetic config or a csv path")
+        if self.columns is not None and len(self.columns) == 0:
+            raise ValueError("columns must not be empty")
         if self.feature_degree not in (1, 2):
             raise ValueError("feature_degree must be 1 or 2")
 
     def to_dict(self) -> dict:
         if self.synthetic is not None:
-            source = {
-                "synthetic": {
-                    "n_samples": self.synthetic.n_samples,
-                    "positive_rate": self.synthetic.positive_rate,
-                    "n_features": self.synthetic.n_features,
-                    "class_separation": self.synthetic.class_separation,
-                    "seed": self.synthetic.seed,
-                    "fraud_burst": self.synthetic.fraud_burst,
-                }
-            }
+            source = {"synthetic": asdict(self.synthetic)}
         else:
             source = {"csv": {"path": self.csv_path, "expect_schema": self.expect_schema}}
         if self.columns is not None:
@@ -100,37 +105,13 @@ class DatasetSpec:
 
 
 @dataclass
-class ModelParams:
-    """Trainer knobs shared by every cell (width and seed vary per cell)."""
-
-    epochs: int = 20
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    threshold: float = 0.5
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "threshold": self.threshold,
-        }
-
-
-@dataclass
 class GridConfig:
     dataset: DatasetSpec
     seeds: tuple[int, ...]
     resampler: ResamplerSpec
     split: SplitSpec
-    n_values: tuple[int, ...] = DEFAULT_N_VALUES
-    protocols: tuple[str, ...] = ("leaky", "clean")
+    n_values: tuple[int, ...] = field(default=DEFAULT_N_VALUES, metadata=DOC_REQUIRED)
+    protocols: tuple[str, ...] = field(default=PROTOCOLS, metadata=DOC_REQUIRED)
     scaler: str = "standardize"
     model: ModelParams = field(default_factory=ModelParams)
     output_dir: str = "leakbench_out"
@@ -147,34 +128,42 @@ class GridConfig:
         if len(self.protocols) == 0:
             raise ValueError("protocols must not be empty")
         for p in self.protocols:
-            if p not in ("leaky", "clean"):
+            if p not in PROTOCOLS:
                 raise ValueError(f"unknown protocol {p!r}")
+        if self.scaler not in SCALER_METHODS:
+            raise ValueError(f"unknown scaler {self.scaler!r}; expected one of {SCALER_METHODS}")
         bad = [f for f in self.formats if f not in ("json", "csv", "markdown", "svg")]
         if bad:
             raise ValueError(f"unknown output formats: {', '.join(bad)}")
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.to_dict(),
-            "n_values": list(self.n_values),
-            "protocols": list(self.protocols),
-            "resampler": {
-                "method": self.resampler.method,
-                "k_neighbors": self.resampler.k_neighbors,
-                "m_neighbors": self.resampler.m_neighbors,
-                "target_ratio": self.resampler.target_ratio,
-            },
-            "split": {
-                "strategy": self.split.strategy,
-                "test_fraction": self.split.test_fraction,
-            },
-            "scaler": self.scaler,
-            "model": self.model.to_dict(),
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "formats": list(self.formats),
-            "allow_quadratic": self.allow_quadratic,
-        }
+        return _document(self)
+
+
+def document_fields(cls) -> dict[str, bool]:
+    """The keys of a config dataclass's document block, each mapped to
+    whether a document must give it.  Per-cell seeds stay out."""
+    return {
+        f.name: f.metadata == DOC_REQUIRED
+        or (f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+        if f.metadata != CELL_SEED
+    }
+
+
+def _document(spec) -> dict:
+    """A config dataclass as its document block; tuples become lists."""
+    doc = {}
+    for name in document_fields(type(spec)):
+        value = getattr(spec, name)
+        if hasattr(value, "to_dict"):
+            value = value.to_dict()
+        elif is_dataclass(value):
+            value = _document(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[name] = value
+    return doc
 
 
 @dataclass
@@ -363,15 +352,9 @@ def run_cell(
         scaler=cfg.scaler,
     )
     model_cfg = MlpConfig(
+        **asdict(cfg.model),
         n_features=ds.n_features,
         hidden_neurons=n_hidden,
-        epochs=cfg.model.epochs,
-        batch_size=cfg.model.batch_size,
-        learning_rate=cfg.model.learning_rate,
-        beta1=cfg.model.beta1,
-        beta2=cfg.model.beta2,
-        epsilon=cfg.model.epsilon,
-        threshold=cfg.model.threshold,
         seed=derive_seed(stream, "model"),
     )
     cell = CellResult(
@@ -505,13 +488,7 @@ def render_cells_csv(report_dict: dict) -> str:
             _fmt(cm.get("fp")),
             _fmt(cm.get("tn")),
             _fmt(cm.get("fn")),
-            _fmt(met.get("accuracy")),
-            _fmt(met.get("precision")),
-            _fmt(met.get("recall")),
-            _fmt(met.get("specificity")),
-            _fmt(met.get("f1")),
-            _fmt(met.get("roc_auc")),
-            _fmt(met.get("average_precision")),
+            *(_fmt(met.get(m)) for m in _AGG_METRICS),
             _fmt(con.get("n_test_rows")),
             _fmt(con.get("n_synthetic_in_test")),
             _fmt(con.get("n_synthetic_parent_in_train")),
@@ -547,18 +524,7 @@ def render_markdown(report_dict: dict) -> str:
         lines.append("|---|---|---|---|---|---|---|---|")
         for n in cfg["n_values"]:
             row = agg[protocol][str(n)]
-            cells = " | ".join(
-                _fmt(row[m]["median"], 4)
-                for m in (
-                    "accuracy",
-                    "precision",
-                    "recall",
-                    "specificity",
-                    "f1",
-                    "roc_auc",
-                    "average_precision",
-                )
-            )
+            cells = " | ".join(_fmt(row[m]["median"], 4) for m in _AGG_METRICS)
             lines.append(f"| {n} | {cells} |")
         lines.append("")
     gap = report_dict["leakage_gap"]
@@ -665,25 +631,11 @@ def _dump_json(payload: dict) -> str:
 
 def emit_report(report: GridReport, out_dir: str, formats: tuple[str, ...]) -> list[Path]:
     """Write the requested formats under out_dir; returns the paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict()
-    written: list[Path] = []
-    if "json" in formats:
-        path = out / "report.json"
-        path.write_text(_dump_json(payload))
-        written.append(path)
-    if "csv" in formats:
-        path = out / "cells.csv"
-        path.write_text(render_cells_csv(payload))
-        written.append(path)
-    if "markdown" in formats:
-        path = out / "summary.md"
-        path.write_text(render_markdown(payload))
-        written.append(path)
+    tables = tuple(f for f in formats if f != "svg")
+    written = emit_from_dict(report.to_dict(), out_dir, tables)
     if "svg" in formats:
         for cell in report.cells:
-            written.extend(write_cell_curves(cell, out / "curves"))
+            written.extend(write_cell_curves(cell, Path(out_dir) / "curves"))
     return written
 
 

@@ -9,7 +9,7 @@ training is deterministic given the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .seeding import derive_rng
 __all__ = [
     "MlpConfig",
     "MlpModel",
+    "ModelParams",
     "bce_loss",
     "forward",
     "init_mlp",
@@ -32,9 +33,9 @@ PROB_CLAMP = 1e-12
 
 
 @dataclass
-class MlpConfig:
-    n_features: int
-    hidden_neurons: int
+class ModelParams:
+    """Trainer knobs shared by every cell (width and seed vary per cell)."""
+
     epochs: int = 20
     batch_size: int = 256
     learning_rate: float = 1e-3
@@ -42,13 +43,8 @@ class MlpConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     threshold: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_features < 1:
-            raise ValueError("n_features must be positive")
-        if self.hidden_neurons < 0:
-            raise ValueError("hidden_neurons must be non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -62,6 +58,25 @@ class MlpConfig:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(kw_only=True)
+class MlpConfig(ModelParams):
+    """One network's full config: the shared knobs plus its shape and seed."""
+
+    n_features: int
+    hidden_neurons: int
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_features < 1:
+            raise ValueError("n_features must be positive")
+        if self.hidden_neurons < 0:
+            raise ValueError("hidden_neurons must be non-negative")
+        super().__post_init__()
 
 
 @dataclass
@@ -78,32 +93,6 @@ class MlpModel:
         if self.w1 is not None:
             n += self.w1.size + self.b1.size
         return int(n)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable weights (nested lists, row-major)."""
-        return {
-            "n_features": self.config.n_features,
-            "hidden_neurons": self.config.hidden_neurons,
-            "w1": None if self.w1 is None else self.w1.tolist(),
-            "b1": None if self.b1 is None else self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": self.b2,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict, config: MlpConfig) -> "MlpModel":
-        if (
-            payload["n_features"] != config.n_features
-            or payload["hidden_neurons"] != config.hidden_neurons
-        ):
-            raise ValueError("weight payload does not match the config shape")
-        return cls(
-            config=config,
-            w1=None if payload["w1"] is None else np.array(payload["w1"], dtype=np.float64),
-            b1=None if payload["b1"] is None else np.array(payload["b1"], dtype=np.float64),
-            w2=np.array(payload["w2"], dtype=np.float64),
-            b2=float(payload["b2"]),
-        )
 
 
 def init_mlp(cfg: MlpConfig) -> MlpModel:

@@ -14,7 +14,7 @@ identical row (12 significant digits) sits on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .data import ORIGINAL, SYNTHETIC, Dataset
 from .metrics import MetricReport, evaluate
 from .model import MlpConfig, MlpModel, forward, init_mlp, train
 from .resample import ResamplerSpec, apply_resampler
+from .seeding import CELL_SEED
 
 __all__ = [
     "ContaminationReport",
@@ -45,7 +46,7 @@ PROTOCOLS = ("leaky", "clean")
 class SplitSpec:
     strategy: str
     test_fraction: float = 0.2
-    seed: int = 0
+    seed: int = field(default=0, metadata=CELL_SEED)
 
     def __post_init__(self) -> None:
         if self.strategy not in SPLIT_STRATEGIES:
@@ -100,13 +101,7 @@ class ContaminationReport:
     leak_flag: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n_test_rows": self.n_test_rows,
-            "n_synthetic_in_test": self.n_synthetic_in_test,
-            "n_synthetic_parent_in_train": self.n_synthetic_parent_in_train,
-            "n_cross_split_duplicates": self.n_cross_split_duplicates,
-            "leak_flag": self.leak_flag,
-        }
+        return asdict(self)
 
 
 @dataclass

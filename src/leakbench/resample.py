@@ -20,6 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .data import ORIGINAL, SYNTHETIC, Dataset, RowOrigin
+from .seeding import CELL_SEED
 
 __all__ = [
     "METHODS",
@@ -52,7 +53,7 @@ class ResamplerSpec:
     k_neighbors: int = 5
     m_neighbors: int = 10
     target_ratio: float = 1.0
-    seed: int = 0
+    seed: int = field(default=0, metadata=CELL_SEED)
 
     def __post_init__(self) -> None:
         if self.method is not None and self.method not in METHODS:

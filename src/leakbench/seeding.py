@@ -12,7 +12,11 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_rng", "derive_seed"]
+__all__ = ["CELL_SEED", "derive_rng", "derive_seed"]
+
+# Metadata of a spec's seed field that experiment.run_cell derives for each
+# grid cell; config documents neither set nor echo such a field.
+CELL_SEED = {"cell_seed": True}
 
 
 def derive_seed(*parts: int | str) -> int:

@@ -6,6 +6,8 @@ smoke test runs the installed console script for real.
 """
 
 import json
+import random
+import re
 import subprocess
 import sys
 
@@ -15,6 +17,8 @@ from leakbench.cli import main
 from leakbench.config import ConfigError, build_grid_config, load_config_file
 from leakbench.data import SynthConfig, generate_synthetic, save_csv
 from leakbench.experiment import GridConfig
+from leakbench.pipeline import SCALER_METHODS, SPLIT_STRATEGIES
+from leakbench.resample import METHODS
 
 
 def base_doc(out_dir: str, **overrides) -> dict:
@@ -159,10 +163,116 @@ def test_build_grid_config_overrides(tmp_path):
     assert cfg.allow_quadratic is True
 
 
+# (path into the document, bad value, start of the ConfigError message)
+BAD_VALUES = [
+    (("model", "epochs"), "20", "model.epochs must be an integer"),
+    (("resampler", "k_neighbors"), "5", "resampler.k_neighbors must be an integer"),
+    (("dataset", "synthetic", "n_features"), "30", "dataset.synthetic.n_features must be an integer"),
+    (("dataset", "synthetic", "seed"), "x", "dataset.synthetic.seed must be an integer"),
+    (("model", "epochs"), 0, "model: epochs must be at least 1"),
+    (("scaler",), "bogus", "unknown scaler 'bogus'"),
+    (("model", "threshold"), 2.0, "model: threshold must be in (0, 1)"),
+    (("model", "batch_size"), 2.5, "model.batch_size must be an integer"),
+    (("resampler", "m_neighbors"), 10.0, "resampler.m_neighbors must be an integer"),
+    (("dataset", "synthetic", "fraud_burst"), 3, "dataset.synthetic.fraud_burst must be a boolean"),
+    (("dataset", "columns"), [], "dataset: columns must not be empty"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message", BAD_VALUES, ids=[f"{'.'.join(p)}={v!r}" for p, v, _ in BAD_VALUES]
+)
+def test_bad_values_are_config_errors_in_every_subcommand(tmp_path, capsys, path, value, message):
+    doc = base_doc(str(tmp_path / "out"))
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_grid_config(doc)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    for command in ("run", "audit", "curves"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+def random_doc(rng: random.Random) -> dict:
+    """A valid config document; each optional key is present or absent at random."""
+
+    def maybe(block: dict, key: str, value) -> None:
+        if rng.random() < 0.5:
+            block[key] = value
+
+    if rng.random() < 0.5:
+        n = rng.randint(20, 5000)
+        synth = {"n_samples": n, "positive_rate": rng.uniform(3 / n, 0.5)}
+        maybe(synth, "n_features", rng.randint(1, 40))
+        maybe(synth, "class_separation", rng.choice([2, rng.uniform(0.1, 5.0)]))
+        maybe(synth, "seed", rng.randint(0, 2**31))
+        maybe(synth, "fraud_burst", rng.random() < 0.5)
+        dataset = {"synthetic": synth}
+    else:
+        csv = {"path": f"data/rows{rng.randint(0, 99)}.csv"}
+        maybe(csv, "expect_schema", rng.random() < 0.5)
+        dataset = {"csv": csv}
+    maybe(dataset, "columns", rng.sample(["Time", "V1", "V2", "Amount"], rng.randint(1, 4)))
+    maybe(dataset, "feature_degree", rng.choice([1, 2]))
+    resampler = {"method": None if rng.random() < 0.25 else rng.choice(sorted(METHODS))}
+    maybe(resampler, "k_neighbors", rng.randint(1, 9))
+    maybe(resampler, "m_neighbors", rng.randint(1, 20))
+    maybe(resampler, "target_ratio", rng.choice([1, rng.uniform(0.05, 1.0)]))
+    split = {"strategy": rng.choice(SPLIT_STRATEGIES)}
+    maybe(split, "test_fraction", rng.uniform(0.05, 0.95))
+    model: dict = {}
+    maybe(model, "epochs", rng.randint(1, 50))
+    maybe(model, "batch_size", rng.randint(1, 512))
+    maybe(model, "learning_rate", rng.choice([0, rng.uniform(0.0, 0.1)]))
+    maybe(model, "beta1", rng.uniform(0.0, 0.99))
+    maybe(model, "beta2", rng.uniform(0.0, 0.999))
+    maybe(model, "epsilon", rng.uniform(1e-10, 1e-6))
+    maybe(model, "threshold", rng.uniform(0.01, 0.99))
+    doc = {
+        "dataset": dataset,
+        "n_values": rng.sample(range(20), rng.randint(1, 5)),
+        "protocols": rng.sample(["leaky", "clean"], rng.randint(1, 2)),
+        "resampler": resampler,
+        "split": split,
+        "seeds": [rng.randint(0, 10**6) for _ in range(rng.randint(1, 4))],
+    }
+    maybe(doc, "scaler", rng.choice(SCALER_METHODS))
+    maybe(doc, "model", model)
+    maybe(doc, "output_dir", f"out{rng.randint(0, 9)}")
+    maybe(doc, "formats", rng.sample(["json", "csv", "markdown", "svg"], rng.randint(0, 4)))
+    maybe(doc, "allow_quadratic", rng.random() < 0.5)
+    return doc
+
+
+def assert_echoed(given, echoed) -> None:
+    if isinstance(given, dict):
+        for key, value in given.items():
+            assert_echoed(value, echoed[key])
+    else:
+        assert given == echoed
+
+
 def test_config_round_trips_through_to_dict(tmp_path):
-    cfg = build_grid_config(base_doc(str(tmp_path)))
-    doc = json.loads(json.dumps(cfg.to_dict()))
-    assert build_grid_config(doc) == cfg
+    block_keys = {
+        "resampler": {"method", "k_neighbors", "m_neighbors", "target_ratio"},
+        "split": {"strategy", "test_fraction"},
+        "model": {"epochs", "batch_size", "learning_rate", "beta1", "beta2", "epsilon", "threshold"},
+    }
+    rng = random.Random(1207)
+    docs = [base_doc(str(tmp_path))] + [random_doc(rng) for _ in range(300)]
+    for doc in docs:
+        cfg = build_grid_config(doc)
+        echoed = json.loads(json.dumps(cfg.to_dict()))
+        assert_echoed(doc, echoed)
+        assert {block: set(echoed[block]) for block in block_keys} == block_keys
+        assert build_grid_config(echoed) == cfg
+    # number fields coerce, so an integer given for one echoes as a float
+    doc = base_doc(str(tmp_path), resampler={"method": "smote", "target_ratio": 1})
+    assert repr(build_grid_config(doc).to_dict()["resampler"]["target_ratio"]) == "1.0"
 
 
 # ---------------------------------------------------------------------------

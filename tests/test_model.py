@@ -3,7 +3,6 @@ from-scratch logistic-regression oracle, and training mechanics."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -336,7 +335,7 @@ def test_zero_hidden_matches_logistic_oracle_bitwise() -> None:
 
 
 # ---------------------------------------------------------------------------
-# predict and serialization
+# predict
 # ---------------------------------------------------------------------------
 
 
@@ -347,15 +346,3 @@ def test_predict_threshold_boundary_is_positive() -> None:
     np.testing.assert_array_equal(predict(m, x), [1, 1, 1])
     np.testing.assert_array_equal(predict(m, x, threshold=0.51), [0, 0, 0])
 
-
-def test_weights_round_trip_through_json() -> None:
-    c = cfg(n_features=4, hidden=3, seed=11)
-    m = init_mlp(c)
-    payload = json.loads(json.dumps(m.to_dict()))
-    back = MlpModel.from_dict(payload, c)
-    np.testing.assert_array_equal(back.w1, m.w1)
-    np.testing.assert_array_equal(back.w2, m.w2)
-    assert back.b2 == m.b2
-
-    with pytest.raises(ValueError, match="does not match the config shape"):
-        MlpModel.from_dict(payload, cfg(n_features=4, hidden=2))
