@@ -75,6 +75,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 0
 
+    handler = {
+        "generate": _cmd_generate,
+        "run": _cmd_run,
+        "audit": _cmd_audit,
+        "curves": _cmd_curves,
+        "report": _cmd_report,
+    }[args.command]
     try:
         doc = load_config_file(args.config)
         formats = None
@@ -87,18 +94,12 @@ def main(argv: list[str] | None = None) -> int:
             formats_override=formats,
             allow_quadratic_override=args.allow_quadratic,
         )
-    except ConfigError as exc:
+        return handler(cfg)
+    except (ConfigError, ValueError, OSError) as exc:
+        # bad config, bad data or unreadable/unwritable files; failures
+        # inside a grid cell are recorded per cell and never reach here
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    handler = {
-        "generate": _cmd_generate,
-        "run": _cmd_run,
-        "audit": _cmd_audit,
-        "curves": _cmd_curves,
-        "report": _cmd_report,
-    }[args.command]
-    return handler(cfg)
 
 
 def _preflight(cfg: GridConfig):
@@ -109,11 +110,7 @@ def _preflight(cfg: GridConfig):
 
 
 def _cmd_run(cfg: GridConfig) -> int:
-    try:
-        report = run_grid(cfg)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_grid(cfg)
     paths = emit_report(report, cfg.output_dir, cfg.formats)
     for path in paths:
         print(f"wrote {path}")
@@ -127,11 +124,7 @@ def _cmd_run(cfg: GridConfig) -> int:
 
 
 def _cmd_audit(cfg: GridConfig) -> int:
-    try:
-        ds = _preflight(cfg)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ds = _preflight(cfg)
     width = cfg.n_values[0]
     f1 = {}
     failed = False
@@ -160,11 +153,7 @@ def _cmd_audit(cfg: GridConfig) -> int:
 
 
 def _cmd_curves(cfg: GridConfig) -> int:
-    try:
-        ds = _preflight(cfg)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ds = _preflight(cfg)
     cell = run_cell(ds, cfg, cfg.n_values[0], cfg.protocols[0], 0)
     if cell.error is not None:
         print(f"cell {cell.key} failed: {cell.error}", file=sys.stderr)
@@ -194,9 +183,6 @@ def _cmd_report(cfg: GridConfig) -> int:
         paths = emit_from_dict(payload, cfg.output_dir, cfg.formats)
     except FileNotFoundError:
         print(f"error: no report found at {source}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in paths:
         print(f"wrote {path}")

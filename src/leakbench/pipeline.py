@@ -234,9 +234,9 @@ def contamination_audit(train: Dataset, test: Dataset) -> ContaminationReport:
     """Count leakage paths between the final train and test sides.
 
     Provenance rides on the row-origin tags: parents of synthetic rows
-    index the dataset the resampler originally consumed, as do the
-    source indices of surviving original rows, so "parent in train"
-    means the parent row itself ended up on the training side.
+    and the source indices of original rows both index the grid dataset
+    (the one ``run_protocol`` received), so "parent in train" means the
+    parent row itself ended up on the training side.
     """
     synth_mask = test.origin.kind == SYNTHETIC
     n_synth = int(synth_mask.sum())

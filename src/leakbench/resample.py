@@ -5,7 +5,9 @@ spec carries the seed, and neighbour searches break distance ties
 toward the lower row index.  Interpolating oversamplers build each
 synthetic row as ``parent_a + delta * (parent_b - parent_a)`` and
 record ``(parent_a, parent_b, delta)`` per row, which is what the
-contamination audit later consumes.
+contamination audit later consumes.  Parents are tagged by the source
+row ids the input rows carry, so they name rows of the original dataset
+even when the input is a subset of it.
 
 The minority class is the label with fewer rows; on a tie label 1 is
 treated as the minority, which keeps the cleaning stage of the
@@ -147,6 +149,11 @@ def _append_synthetic(
     parent_b: np.ndarray,
     delta: np.ndarray,
 ) -> Dataset:
+    """Append synthetic rows built from the rows at positions parent_a/parent_b.
+
+    The tags record the parents' source row ids (``ds.origin.parent_a``),
+    not their positions, so they stay valid when ``ds`` is a subset.
+    """
     n_new = rows.shape[0]
     new_time = None
     if ds.time is not None:
@@ -159,7 +166,10 @@ def _append_synthetic(
         labels=np.concatenate([ds.labels, np.full(n_new, label, dtype=np.int64)]),
         feature_names=ds.feature_names,
         time=new_time,
-        origin=RowOrigin.concat(ds.origin, RowOrigin.synthetic(parent_a, parent_b, delta)),
+        origin=RowOrigin.concat(
+            ds.origin,
+            RowOrigin.synthetic(ds.origin.parent_a[parent_a], ds.origin.parent_a[parent_b], delta),
+        ),
     )
 
 
@@ -388,6 +398,7 @@ def cluster_centroids(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     centers = _kmeans(ds.features[maj_idx], k, rng)
     nearest, _ = _kernels.knn(centers, ds.features[maj_idx], 1)
     parents = maj_idx[nearest[:, 0]]
+    source = ds.origin.parent_a[parents]
 
     kept = ds.take(min_idx)
     time = None
@@ -399,7 +410,7 @@ def cluster_centroids(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
         feature_names=ds.feature_names,
         time=time,
         origin=RowOrigin.concat(
-            kept.origin, RowOrigin.synthetic(parents, parents, np.zeros(k))
+            kept.origin, RowOrigin.synthetic(source, source, np.zeros(k))
         ),
     )
     return ResampleResult(

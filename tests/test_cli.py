@@ -470,6 +470,18 @@ def test_generate_requires_synthetic_dataset(tmp_path, capsys):
     assert "generate needs a dataset.synthetic" in capsys.readouterr().err
 
 
+def test_data_problems_exit_two_in_every_subcommand(tmp_path, capsys):
+    # the config is valid; the column subset only fails once data is loaded
+    cfg = write_config(
+        tmp_path,
+        dataset={"synthetic": {"n_samples": 160, "positive_rate": 0.1, "n_features": 4},
+                 "columns": ["nope"]},
+    )
+    for command in ("generate", "run", "audit", "curves"):
+        assert main([command, "--config", cfg]) == 2, command
+        assert "error: unknown feature columns: nope" in capsys.readouterr().err, command
+
+
 def test_report_reemits_from_stored_json(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", cfg, "--formats", "json"]) == 0

@@ -19,7 +19,7 @@ from leakbench.pipeline import (
     run_protocol,
     split,
 )
-from leakbench.resample import ResamplerSpec
+from leakbench.resample import ResamplerSpec, apply_resampler, interpolate
 
 from conftest import make_dataset
 
@@ -353,6 +353,49 @@ def test_clean_resampler_sees_only_train_rows(monkeypatch) -> None:
     # origin tags carry the source row ids through take()
     np.testing.assert_array_equal(np.sort(got.origin.parent_a), train_rows)
     assert len(np.intersect1d(got.origin.parent_a, test_rows)) == 0
+
+
+# every method that creates synthetic rows; all but cluster_centroids
+# build them by interpolating between their two parents
+SYNTHESIZING_METHODS = (
+    "smote", "random_over", "adasyn", "borderline_smote", "smote_tomek", "smote_enn",
+    "cluster_centroids",
+)
+
+
+def test_synthetic_parents_name_grid_rows_in_every_protocol() -> None:
+    for seed in range(2):
+        ds = overlap_dataset(seed=seed)
+        for strategy in pipeline.SPLIT_STRATEGIES:
+            train_rows, _ = split(ds, SplitSpec(strategy=strategy, test_fraction=0.25, seed=seed))
+            for protocol in pipeline.PROTOCOLS:
+                # the resampler input run_protocol builds for this protocol
+                leaky = protocol == "leaky"
+                fit_rows = np.arange(ds.n_rows) if leaky else train_rows
+                scaled = apply_scaler(ds, fit_scaler(ds, fit_rows, "standardize"))
+                resampler_input = scaled if leaky else scaled.take(train_rows)
+                for method in SYNTHESIZING_METHODS:
+                    spec = ResamplerSpec(method=method, seed=seed)
+                    out = apply_resampler(resampler_input, spec).dataset
+                    synth = out.origin.kind == SYNTHETIC
+                    pa, pb = out.origin.parent_a[synth], out.origin.parent_b[synth]
+                    delta = out.origin.delta[synth]
+                    where = (seed, strategy, protocol, method)
+                    assert synth.any(), where
+                    for parents in (pa, pb):
+                        assert ((parents >= 0) & (parents < ds.n_rows)).all(), where
+                        if protocol == "clean":
+                            assert np.isin(parents, train_rows).all(), where
+                        np.testing.assert_array_equal(ds.labels[parents], out.labels[synth])
+                    np.testing.assert_array_equal(
+                        out.time[synth], ds.time[pa] + delta * (ds.time[pb] - ds.time[pa])
+                    )
+                    if method != "cluster_centroids":
+                        np.testing.assert_array_equal(
+                            out.features[synth],
+                            interpolate(scaled.features[pa], scaled.features[pb], delta),
+                            err_msg=str(where),
+                        )
 
 
 def test_clean_scaler_fits_on_train_rows_only(monkeypatch) -> None:
