@@ -1,14 +1,27 @@
 """Brute-force distance kernels shared by the resamplers.
 
 One numpy implementation.  Squared distances are accumulated feature
-by feature (column 0 first) as ``sum_j (q_j - r_j) ** 2``, never through
-the ``|q|^2 + |r|^2 - 2 q.r`` expansion, which changes the last bits and
-can flip near-ties.  Any faster variant must keep this order to stay
-bitwise equal.
+by feature (column 0 first) as ``sum_j (q_j - r_j) ** 2``, starting from
+0, never through the ``|q|^2 + |r|^2 - 2 q.r`` expansion, which changes
+the last bits and can flip near-ties.  The accumulation runs over
+cache-sized tiles of the distance matrix: a block of query rows against
+a block of reference columns, with one preallocated scratch tile for the
+per-feature term.  Every element sees the same operations in the same
+order as the untiled loop, so the results are bitwise equal to it.
 
-Distance ties are broken toward the lower reference row index.  All
-searches are exhaustive O(n_query * n_ref); callers that run them on
-very large inputs are expected to gate that behind an explicit opt-in.
+``knn`` streams query tiles: it computes the distances of one tile of
+query rows against all of ``ref``, sets each row's excluded self
+distance to ``inf``, selects that tile's neighbours and moves on, so the
+full n_query x n_ref matrix is never held.  Selection finds each row's
+k-th smallest distance with ``np.partition`` and keeps the candidates at
+or below it; they are sorted by distance, stably in reference index
+order, so distance ties go to the lower reference row index exactly as a
+full stable sort of the row would put them.
+
+Inputs must be finite: ``nan`` and ``inf`` are rejected, since their
+distances do not order.  All searches are exhaustive
+O(n_query * n_ref); callers that run them on very large inputs are
+expected to gate that behind an explicit opt-in.
 """
 
 from __future__ import annotations
@@ -17,8 +30,18 @@ import numpy as np
 
 __all__ = ["backend_name", "knn", "pairwise_sq_dists"]
 
-# Cap the (chunk, n_ref) scratch matrix of the k-NN search at ~128 MB.
-_CHUNK_ELEMS = 2**24
+# A distance tile holds about this many float64 elements (512 kB), so
+# that the tile and its scratch stay in a core's cache while all
+# features are accumulated into it.  Picked from a sweep of 2**15 to
+# 2**18 over the kNN shapes the resamplers run.
+_TILE_ELEMS = 2**16
+# Widest tile in reference columns; narrower references get taller
+# tiles, so a one-column search such as k-means seeding does not pay
+# per-tile overhead every few rows.  Wider references are cut into
+# equal blocks of 4,096 to 8,192 columns: numpy buffers a broadcast
+# subtraction whose rows are shorter than a third of its 8,192-element
+# ufunc buffer, which makes it four to five times slower.
+_TILE_COLS = 8192
 
 
 def backend_name() -> str:
@@ -26,18 +49,43 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _sq_dists(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    out = np.zeros((query.shape[0], ref.shape[0]))
-    for j in range(query.shape[1]):
-        diff = query[:, j, None] - ref[None, :, j]
-        out += diff * diff
-    return out
+def _tile_shape(n_ref: int, n_features: int) -> tuple[int, int]:
+    # equal column blocks, so that no narrow remainder block is left over
+    blocks = max(1, -(-n_ref // _TILE_COLS))
+    cols = max(1, -(-n_ref // blocks))
+    # the tile's query rows stay in cache too, since each feature reads
+    # them again
+    return max(1, _TILE_ELEMS // max(cols, n_features)), cols
+
+
+def _sq_dists_into(
+    query: np.ndarray, ref_t: np.ndarray, out: np.ndarray, diff: np.ndarray
+) -> None:
+    """Write the (n_query, n_ref) squared distances into ``out``.
+
+    ``ref_t`` is ``ref`` transposed and contiguous, and ``diff`` a
+    scratch tile whose shape sets the tile size.
+    """
+    rows, cols = diff.shape
+    for c0 in range(0, ref_t.shape[1], cols):
+        ref_blk = ref_t[:, c0 : c0 + cols]
+        for r0 in range(0, query.shape[0], rows):
+            q_blk = query[r0 : r0 + rows]
+            acc = out[r0 : r0 + rows, c0 : c0 + cols]
+            tile = diff[: acc.shape[0], : acc.shape[1]]
+            acc[...] = 0.0
+            for j in range(query.shape[1]):
+                np.subtract(q_blk[:, j, None], ref_blk[j], out=tile)
+                np.multiply(tile, tile, out=tile)
+                acc += tile
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(x, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {x.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError("expected finite values, got nan or inf")
     return out
 
 
@@ -47,7 +95,26 @@ def pairwise_sq_dists(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     ref = _as_matrix(ref)
     if query.shape[1] != ref.shape[1]:
         raise ValueError("query and ref must have the same number of columns")
-    return _sq_dists(query, ref)
+    out = np.empty((query.shape[0], ref.shape[0]))
+    diff = np.empty(_tile_shape(*ref.shape))
+    _sq_dists_into(query, np.ascontiguousarray(ref.T), out, diff)
+    return out
+
+
+def _select(dists: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row, nearest first.
+
+    Ties go to the lower column index, as in a stable argsort of the row.
+    """
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
+    # candidates in row-major order: by row, then by column index
+    rows, cols = np.nonzero(dists <= kth[:, None])
+    # stable, so candidates of equal distance keep their index order
+    order = np.lexsort((dists[rows, cols], rows))
+    # each row's candidates keep their place; a row holds more than k of
+    # them only when tied at the k-th distance
+    first = np.searchsorted(rows, np.arange(len(dists)))
+    return cols[order][first[:, None] + np.arange(k)]
 
 
 def knn(
@@ -83,15 +150,18 @@ def knn(
     n_query = query.shape[0]
     idx = np.empty((n_query, k), dtype=np.int64)
     sqd = np.empty((n_query, k), dtype=np.float64)
-    chunk = max(1, _CHUNK_ELEMS // max(n_ref, 1))
-    for start in range(0, n_query, chunk):
-        stop = min(n_query, start + chunk)
-        dists = _sq_dists(query[start:stop], ref)
+    rows, cols = _tile_shape(*ref.shape)
+    ref_t = np.ascontiguousarray(ref.T)
+    diff = np.empty((rows, cols))
+    dists_buf = np.empty((rows, n_ref))
+    for start in range(0, n_query, rows):
+        stop = min(n_query, start + rows)
+        dists = dists_buf[: stop - start]
+        _sq_dists_into(query[start:stop], ref_t, dists, diff)
         excl = self_idx[start:stop]
-        rows = np.nonzero(excl >= 0)[0]
-        dists[rows, excl[rows]] = np.inf
-        # stable sort keeps the lower reference index first on ties
-        order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        hit = np.nonzero(excl >= 0)[0]
+        dists[hit, excl[hit]] = np.inf
+        order = _select(dists, k)
         idx[start:stop] = order
         sqd[start:stop] = np.take_along_axis(dists, order, axis=1)
     return idx, sqd

@@ -267,6 +267,14 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.array(rows, dtype=np.float64)
+    # nan and inf parse as numbers, but distances and scalers cannot use them
+    bad = ~np.isfinite(table)
+    if np.any(bad):
+        r, c = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{path}: line {r + 2}: column {header[c]!r} has non-finite value "
+            f"{str(table[r, c])!r}"
+        )
     raw_labels = table[:, label_col]
     bad = ~np.isin(raw_labels, (0.0, 1.0))
     if np.any(bad):

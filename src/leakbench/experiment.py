@@ -67,7 +67,12 @@ REFERENCE_TOLERANCE = 0.02
 DEFAULT_N_VALUES = (0, 1, 2, 4, 6, 8, 10, 12, 16)
 
 # Datasets larger than this refuse the all-pairs methods unless
-# allow_quadratic is set.
+# allow_quadratic is set.  The kNN kernel measured 26.3 million distance
+# evaluations per second for a 5,000-row self-search and 25.6 million for
+# 10,000 rows (30 features, one core of a 2-vCPU host), so one all-pairs
+# search at this limit (1e10 evaluations) takes about 6.5 minutes.  The
+# cleaning step of SMOTE-ENN and SMOTE-Tomek searches the oversampled
+# rows, up to twice as many, so four times as long.
 QUADRATIC_ROW_LIMIT = 100_000
 
 # Metadata of a GridConfig field that has a Python default but that config

@@ -396,6 +396,22 @@ def test_run_on_csv_dataset_via_environment(tmp_path, capsys, monkeypatch):
     assert payload["config"]["dataset"]["csv"]["path"] == str(csv_path)
 
 
+def test_run_on_csv_with_non_finite_value_exits_two(tmp_path, capsys):
+    ds = generate_synthetic(SynthConfig(n_samples=120, positive_rate=0.2, n_features=3, seed=4))
+    csv_path = tmp_path / "rows.csv"
+    save_csv(ds, str(csv_path))
+    lines = csv_path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "nan"
+    lines[5] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    header = lines[0].split(",")
+    cfg = write_config(tmp_path, dataset={"csv": {"path": str(csv_path)}}, n_values=[0], seeds=[1])
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {csv_path}: line 6: column {header[1]!r} has non-finite value 'nan'" in err
+
+
 # ---------------------------------------------------------------------------
 # audit, curves, generate, report
 # ---------------------------------------------------------------------------

@@ -188,6 +188,14 @@ def test_load_csv_errors(tmp_path) -> None:
     with pytest.raises(ValueError, match="line 3: column 'a' has non-numeric value 'foo'"):
         load_csv(str(non_numeric))
 
+    for cell in ("nan", "inf", "-inf"):
+        non_finite = tmp_path / "non_finite.csv"
+        non_finite.write_text(f"a,b,Class\n1,2,0\n3,{cell},1\n")
+        with pytest.raises(
+            ValueError, match=f"line 3: column 'b' has non-finite value '{cell}'"
+        ):
+            load_csv(str(non_finite))
+
     bad_label = tmp_path / "bad_label.csv"
     bad_label.write_text("a,Class\n1,0\n2,3\n")
     with pytest.raises(ValueError, match="line 3: label 3.0 is not 0 or 1"):

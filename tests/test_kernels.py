@@ -27,6 +27,102 @@ def oracle_knn(query, ref, k, self_idx=None):
     return idx, sqd
 
 
+def reference_sq_dists(query, ref):
+    """The untiled kernel: one full-size accumulation per feature, column 0 first."""
+    out = np.zeros((query.shape[0], ref.shape[0]))
+    for j in range(query.shape[1]):
+        diff = query[:, j, None] - ref[None, :, j]
+        out += diff * diff
+    return out
+
+
+def reference_knn(query, ref, k, self_idx=None):
+    """The untiled search: the full distance matrix, then a stable argsort per row."""
+    dists = reference_sq_dists(query, ref)
+    if self_idx is not None:
+        rows = np.nonzero(self_idx >= 0)[0]
+        dists[rows, self_idx[rows]] = np.inf
+    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(dists, order, axis=1)
+
+
+def assert_knn_bitwise(query, ref, k, self_idx=None) -> None:
+    idx, sqd = knn(query, ref, k, self_idx=self_idx)
+    ridx, rsqd = reference_knn(query, ref, k, self_idx)
+    assert np.array_equal(idx, ridx)
+    assert np.array_equal(sqd, rsqd)
+
+
+CAP = _kernels._TILE_COLS
+
+
+@pytest.mark.parametrize("n_ref", [1, CAP - 1, CAP, CAP + 1])
+def test_kernels_bitwise_equal_the_untiled_reference_across_tile_edges(n_ref) -> None:
+    rng = np.random.default_rng(n_ref)
+    d = 5
+    ref = rng.standard_normal((n_ref, d))
+    # triples of equal rows, so that searches meet exact ties
+    ref[1::3] = ref[0::3][: len(ref[1::3])]
+    ref[2::3] = ref[0::3][: len(ref[2::3])]
+    rows, _ = _kernels._tile_shape(n_ref, d)
+    n_query = rows + 3  # not a multiple of the tile height
+    query = rng.standard_normal((n_query, d))
+    query[::4] = ref[rng.integers(0, n_ref, len(query[::4]))]
+    assert np.array_equal(pairwise_sq_dists(query, ref), reference_sq_dists(query, ref))
+    for k in (1, n_ref):
+        assert_knn_bitwise(query, ref, k)
+    if n_ref > 1:
+        # the first rows of ref searched against ref, each excluding itself
+        m = min(n_ref, rows + 3)
+        for k in (1, n_ref - 1):
+            assert_knn_bitwise(ref[:m], ref, k, np.arange(m, dtype=np.int64))
+
+
+def test_knn_bitwise_on_distances_that_overflow_to_inf() -> None:
+    rng = np.random.default_rng(17)
+    n, d = 300, 4
+    x = rng.standard_normal((n, d))
+    # squared differences of these rows overflow; the rest stay finite
+    x[rng.random(n) < 0.4] *= 1e200
+    query = rng.standard_normal((n + 7, d))
+    query[::3] *= 1e200
+    with np.errstate(over="ignore"):
+        for k in (1, 5, n - 1):
+            assert_knn_bitwise(x, x, k, np.arange(n, dtype=np.int64))
+            assert_knn_bitwise(query, x, k)
+        assert np.isinf(knn(x, x, n - 1, self_idx=np.arange(n, dtype=np.int64))[1]).any()
+
+
+def test_knn_bitwise_on_tie_heavy_inputs_over_several_tiles() -> None:
+    # rows drawn from a small pool of points on a 0.1 grid: many exact
+    # ties, and sums whose last bits depend on the feature order
+    rng = np.random.default_rng(57)
+    for trial in range(16):
+        d = int(rng.integers(3, 6))
+        pool = rng.integers(-20, 21, size=(int(rng.integers(2, 8)), d)) / 10
+        n = int(rng.integers(250, 600))
+        assert n > _kernels._tile_shape(n, d)[0]
+        ref = pool[rng.integers(0, len(pool), n)]
+        for k in (1, int(rng.integers(2, n - 1)), n - 1):
+            if trial % 2 == 0:
+                assert_knn_bitwise(ref, ref, k, np.arange(n, dtype=np.int64))
+            else:
+                assert_knn_bitwise(pool[rng.integers(0, len(pool), n + 11)], ref, k)
+
+
+def test_kernels_reject_non_finite_input() -> None:
+    x = np.array([[0.0], [np.nan], [1.0], [2.0], [3.0]])
+    with pytest.raises(ValueError, match="finite"):
+        knn(x, x, 2, self_idx=np.arange(5, dtype=np.int64))
+    good = np.zeros((3, 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.array([[0.0], [bad]])
+        with pytest.raises(ValueError, match="finite"):
+            knn(good, x, 1)
+        with pytest.raises(ValueError, match="finite"):
+            pairwise_sq_dists(x, good)
+
+
 def test_pairwise_small_hand_example() -> None:
     q = np.array([[0.0, 0.0], [1.0, 1.0]])
     r = np.array([[0.0, 0.0], [3.0, 4.0]])
