@@ -16,7 +16,9 @@ full n_query x n_ref matrix is never held.  Selection finds each row's
 k-th smallest distance with ``np.partition`` and keeps the candidates at
 or below it; they are sorted by distance, stably in reference index
 order, so distance ties go to the lower reference row index exactly as a
-full stable sort of the row would put them.
+full stable sort of the row would put them.  The excluded self sorts
+after every other candidate, so it is never returned as a neighbour,
+even when the other distances overflow to ``inf`` too.
 
 Inputs must be finite: ``nan`` and ``inf`` are rejected, since their
 distances do not order.  All searches are exhaustive
@@ -101,16 +103,19 @@ def pairwise_sq_dists(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return out
 
 
-def _select(dists: np.ndarray, k: int) -> np.ndarray:
+def _select(dists: np.ndarray, k: int, excl: np.ndarray) -> np.ndarray:
     """Column indices of the k smallest entries of each row, nearest first.
 
-    Ties go to the lower column index, as in a stable argsort of the row.
+    Ties go to the lower column index, as in a stable argsort of the row,
+    except that row i's excluded column ``excl[i]`` (set to ``inf`` by
+    the caller) sorts after every other column, also after distances
+    that overflowed to ``inf``.
     """
     kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
     # candidates in row-major order: by row, then by column index
     rows, cols = np.nonzero(dists <= kth[:, None])
     # stable, so candidates of equal distance keep their index order
-    order = np.lexsort((dists[rows, cols], rows))
+    order = np.lexsort((cols == excl[rows], dists[rows, cols], rows))
     # each row's candidates keep their place; a row holds more than k of
     # them only when tied at the k-th distance
     first = np.searchsorted(rows, np.arange(len(dists)))
@@ -161,7 +166,7 @@ def knn(
         excl = self_idx[start:stop]
         hit = np.nonzero(excl >= 0)[0]
         dists[hit, excl[hit]] = np.inf
-        order = _select(dists, k)
+        order = _select(dists, k, excl)
         idx[start:stop] = order
         sqd[start:stop] = np.take_along_axis(dists, order, axis=1)
     return idx, sqd

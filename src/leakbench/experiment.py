@@ -212,7 +212,7 @@ class CellResult:
                 "roc_auc": self.metrics.roc_auc,
                 "average_precision": self.metrics.average_precision,
             }
-        out["contamination"] = None if self.contamination is None else self.contamination.to_dict()
+        out["contamination"] = None if self.contamination is None else asdict(self.contamination)
         out["history"] = list(self.history)
         return out
 

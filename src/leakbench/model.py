@@ -9,7 +9,7 @@ training is deterministic given the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class ModelParams:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(kw_only=True)

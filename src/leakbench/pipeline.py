@@ -14,7 +14,7 @@ identical row (12 significant digits) sits on both sides.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,9 +99,6 @@ class ContaminationReport:
     n_synthetic_parent_in_train: int
     n_cross_split_duplicates: int
     leak_flag: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -7,7 +7,9 @@ synthetic row as ``parent_a + delta * (parent_b - parent_a)`` and
 record ``(parent_a, parent_b, delta)`` per row, which is what the
 contamination audit later consumes.  Parents are tagged by the source
 row ids the input rows carry, so they name rows of the original dataset
-even when the input is a subset of it.
+even when the input is a subset of it.  Every method builds its output
+from two primitives: ``_append_synthetic``, the one writer of synthetic
+rows and their tags, and ``_drop_rows``, the one row remover.
 
 The minority class is the label with fewer rows; on a tie label 1 is
 treated as the minority, which keeps the cleaning stage of the
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .data import ORIGINAL, SYNTHETIC, Dataset, RowOrigin
+from .data import SYNTHETIC, Dataset, RowOrigin
 from .seeding import CELL_SEED
 
 __all__ = [
@@ -75,20 +77,23 @@ class ResamplerSpec:
 class ResampleResult:
     """Output dataset plus an account of what the method did.
 
-    ``removed_indices`` index the method's input, except for the
-    combined methods where they index the post-oversampling
-    intermediate and ``intermediate_to_input`` maps those positions
-    back to input rows (-1 for rows the oversampler created).
+    ``removed_indices`` index the method's input rows.  For the combined
+    methods they index the input rows and then the oversampler's new
+    rows, so positions from the input's row count on name rows the
+    oversampler created.  ``n_synthetic`` counts the output's rows that
+    this method created.
     """
 
     dataset: Dataset
     n_synthetic: int = 0
-    n_removed: int = 0
     removed_indices: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )
     notes: tuple[str, ...] = ()
-    intermediate_to_input: np.ndarray | None = None
+
+    @property
+    def n_removed(self) -> int:
+        return len(self.removed_indices)
 
     @property
     def provenance(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,38 +139,44 @@ def _require_minority_above(n_min: int, k: int, method: str, knob: str) -> None:
 
 
 def interpolate(a: np.ndarray, b: np.ndarray, delta) -> np.ndarray:
-    """Row(s) on the segment from a to b: a + delta * (b - a)."""
+    """Row(s) or value(s) on the segment from a to b: a + delta * (b - a).
+
+    A 1-d ``delta`` holds one coefficient per row of 2-d ``a``/``b``, or
+    one per value of 1-d ``a``/``b``.
+    """
     delta = np.asarray(delta, dtype=np.float64)
-    if delta.ndim == 1:
+    if delta.ndim == 1 and np.ndim(a) == 2:
         delta = delta[:, None]
     return a + delta * (b - a)
 
 
 def _append_synthetic(
     ds: Dataset,
-    rows: np.ndarray,
     label: int,
     parent_a: np.ndarray,
     parent_b: np.ndarray,
     delta: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> Dataset:
-    """Append synthetic rows built from the rows at positions parent_a/parent_b.
+    """Append synthetic rows of class ``label`` built from the rows at
+    positions parent_a/parent_b.
 
+    Features are ``interpolate(parents, delta)`` unless ``rows`` gives
+    them; the time column always goes through the same interpolation.
     The tags record the parents' source row ids (``ds.origin.parent_a``),
     not their positions, so they stay valid when ``ds`` is a subset.
     """
-    n_new = rows.shape[0]
-    new_time = None
+    if rows is None:
+        rows = interpolate(ds.features[parent_a], ds.features[parent_b], delta)
+    time = None
     if ds.time is not None:
-        # carry the time axis through the same interpolation as the features
-        new_time = np.concatenate(
-            [ds.time, ds.time[parent_a] + delta * (ds.time[parent_b] - ds.time[parent_a])]
-        )
+        new_time = interpolate(ds.time[parent_a], ds.time[parent_b], delta)
+        time = np.concatenate([ds.time, new_time])
     return Dataset(
         features=np.vstack([ds.features, rows]),
-        labels=np.concatenate([ds.labels, np.full(n_new, label, dtype=np.int64)]),
+        labels=np.concatenate([ds.labels, np.full(len(delta), label, dtype=np.int64)]),
         feature_names=ds.feature_names,
-        time=new_time,
+        time=time,
         origin=RowOrigin.concat(
             ds.origin,
             RowOrigin.synthetic(ds.origin.parent_a[parent_a], ds.origin.parent_a[parent_b], delta),
@@ -173,14 +184,37 @@ def _append_synthetic(
     )
 
 
-def _drop_rows(ds: Dataset, remove: np.ndarray) -> tuple[Dataset, np.ndarray]:
+def _drop_rows(ds: Dataset, remove: np.ndarray, n_synthetic: int = 0) -> ResampleResult:
+    """``ds`` without the rows at positions ``remove``, order kept."""
     remove = np.unique(np.asarray(remove, dtype=np.int64))
     keep = np.setdiff1d(np.arange(ds.n_rows, dtype=np.int64), remove)
-    return ds.take(keep), remove
+    return ResampleResult(ds.take(keep), n_synthetic=n_synthetic, removed_indices=remove)
 
 
 def _passthrough(ds: Dataset, notes: tuple[str, ...] = ()) -> ResampleResult:
     return ResampleResult(dataset=ds, notes=notes)
+
+
+def _interpolate_from(
+    ds: Dataset,
+    label: int,
+    rng: np.random.Generator,
+    seeds: np.ndarray,
+    neighbours: np.ndarray,
+    seed_pos: np.ndarray,
+) -> ResampleResult:
+    """Synthetic rows between seed rows and their nearest neighbours.
+
+    ``seeds`` are the candidate seed rows and ``neighbours[i]`` the
+    nearest rows of ``seeds[i]``, all positions in ``ds``; new row j
+    starts from ``seeds[seed_pos[j]]``.  After the caller's seed draws,
+    ``rng`` draws every row's delta and then every row's neighbour choice.
+    """
+    n_new = len(seed_pos)
+    deltas = rng.random(n_new)
+    choice = rng.integers(0, neighbours.shape[1], n_new)
+    out = _append_synthetic(ds, label, seeds[seed_pos], neighbours[seed_pos, choice], deltas)
+    return ResampleResult(dataset=out, n_synthetic=n_new)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +238,7 @@ def smote(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     nbr, _ = _kernels.knn(x_min, x_min, spec.k_neighbors, self_idx=np.arange(len(min_idx)))
     rng = np.random.default_rng(spec.seed)
     seed_pos = rng.integers(0, len(min_idx), n_new)
-    deltas = rng.random(n_new)
-    choice = rng.integers(0, spec.k_neighbors, n_new)
-    parent_a = min_idx[seed_pos]
-    parent_b = min_idx[nbr[seed_pos, choice]]
-    rows = interpolate(ds.features[parent_a], ds.features[parent_b], deltas)
-    out = _append_synthetic(ds, rows, min_label, parent_a, parent_b, deltas)
-    return ResampleResult(dataset=out, n_synthetic=n_new)
+    return _interpolate_from(ds, min_label, rng, min_idx, min_idx[nbr], seed_pos)
 
 
 def random_oversample(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
@@ -223,8 +251,7 @@ def random_oversample(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
         return _passthrough(ds)
     rng = np.random.default_rng(spec.seed)
     picks = min_idx[rng.integers(0, len(min_idx), n_new)]
-    deltas = np.zeros(n_new)
-    out = _append_synthetic(ds, ds.features[picks], min_label, picks, picks, deltas)
+    out = _append_synthetic(ds, min_label, picks, picks, np.zeros(n_new), ds.features[picks])
     return ResampleResult(dataset=out, n_synthetic=n_new)
 
 
@@ -260,15 +287,8 @@ def adasyn(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
         )
     nbr_min, _ = _kernels.knn(x_min, x_min, spec.k_neighbors, self_idx=np.arange(len(min_idx)))
     seed_pos = np.repeat(np.arange(len(min_idx)), alloc)
-    n_new = int(seed_pos.shape[0])
     rng = np.random.default_rng(spec.seed)
-    deltas = rng.random(n_new)
-    choice = rng.integers(0, spec.k_neighbors, n_new)
-    parent_a = min_idx[seed_pos]
-    parent_b = min_idx[nbr_min[seed_pos, choice]]
-    rows = interpolate(ds.features[parent_a], ds.features[parent_b], deltas)
-    out = _append_synthetic(ds, rows, min_label, parent_a, parent_b, deltas)
-    return ResampleResult(dataset=out, n_synthetic=n_new)
+    return _interpolate_from(ds, min_label, rng, min_idx, min_idx[nbr_min], seed_pos)
 
 
 def borderline_smote(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
@@ -301,13 +321,7 @@ def borderline_smote(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     )
     rng = np.random.default_rng(spec.seed)
     seed_pos = rng.integers(0, len(danger), n_new)
-    deltas = rng.random(n_new)
-    choice = rng.integers(0, spec.k_neighbors, n_new)
-    parent_a = min_idx[danger[seed_pos]]
-    parent_b = min_idx[nbr_min[seed_pos, choice]]
-    rows = interpolate(ds.features[parent_a], ds.features[parent_b], deltas)
-    out = _append_synthetic(ds, rows, min_label, parent_a, parent_b, deltas)
-    return ResampleResult(dataset=out, n_synthetic=n_new)
+    return _interpolate_from(ds, min_label, rng, min_idx[danger], min_idx[nbr_min], seed_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +335,7 @@ def random_undersample(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     n_keep = _n_majority_to_keep(len(min_idx), len(maj_idx), spec.target_ratio)
     rng = np.random.default_rng(spec.seed)
     keep = maj_idx[rng.choice(len(maj_idx), n_keep, replace=False)]
-    out, removed = _drop_rows(ds, np.setdiff1d(maj_idx, keep))
-    return ResampleResult(dataset=out, n_removed=len(removed), removed_indices=removed)
+    return _drop_rows(ds, np.setdiff1d(maj_idx, keep))
 
 
 def nearmiss1(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
@@ -343,8 +356,7 @@ def nearmiss1(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     mean_dist = np.sqrt(sqd).mean(axis=1)
     order = np.argsort(mean_dist, kind="stable")
     keep = maj_idx[order[:n_keep]]
-    out, removed = _drop_rows(ds, np.setdiff1d(maj_idx, keep))
-    return ResampleResult(dataset=out, n_removed=len(removed), removed_indices=removed)
+    return _drop_rows(ds, np.setdiff1d(maj_idx, keep))
 
 
 def tomek_links(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
@@ -357,8 +369,7 @@ def tomek_links(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     rows = np.arange(ds.n_rows)
     linked = (nn[nn] == rows) & (ds.labels != ds.labels[nn])
     remove = rows[linked & (ds.labels != min_label)]
-    out, removed = _drop_rows(ds, remove)
-    return ResampleResult(dataset=out, n_removed=len(removed), removed_indices=removed)
+    return _drop_rows(ds, remove)
 
 
 def enn(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
@@ -373,8 +384,7 @@ def enn(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     nbr, _ = _kernels.knn(ds.features, ds.features, 3, self_idx=np.arange(ds.n_rows))
     vote = (ds.labels[nbr].sum(axis=1) >= 2).astype(np.int64)
     remove = np.nonzero(vote != ds.labels)[0]
-    out, removed = _drop_rows(ds, remove)
-    return ResampleResult(dataset=out, n_removed=len(removed), removed_indices=removed)
+    return _drop_rows(ds, remove)
 
 
 def cluster_centroids(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
@@ -384,8 +394,7 @@ def cluster_centroids(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     synthetic with both parents set to the nearest original majority
     member (ties toward the lower index) and delta 0.
     """
-    maj_label = 1 - _class_split(ds)[0]
-    _, min_idx, maj_idx = _class_split(ds)
+    min_label, min_idx, maj_idx = _class_split(ds)
     k = int(round(len(min_idx) / spec.target_ratio))
     if k < 1:
         raise ValueError("cluster_centroids needs a positive number of centroids")
@@ -398,27 +407,8 @@ def cluster_centroids(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     centers = _kmeans(ds.features[maj_idx], k, rng)
     nearest, _ = _kernels.knn(centers, ds.features[maj_idx], 1)
     parents = maj_idx[nearest[:, 0]]
-    source = ds.origin.parent_a[parents]
-
-    kept = ds.take(min_idx)
-    time = None
-    if ds.time is not None:
-        time = np.concatenate([kept.time, ds.time[parents]])
-    out = Dataset(
-        features=np.vstack([kept.features, centers]),
-        labels=np.concatenate([kept.labels, np.full(k, maj_label, dtype=np.int64)]),
-        feature_names=ds.feature_names,
-        time=time,
-        origin=RowOrigin.concat(
-            kept.origin, RowOrigin.synthetic(source, source, np.zeros(k))
-        ),
-    )
-    return ResampleResult(
-        dataset=out,
-        n_synthetic=k,
-        n_removed=len(maj_idx),
-        removed_indices=np.asarray(maj_idx, dtype=np.int64),
-    )
+    out = _append_synthetic(ds, 1 - min_label, parents, parents, np.zeros(k), centers)
+    return _drop_rows(out, maj_idx, n_synthetic=k)
 
 
 def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -467,31 +457,16 @@ def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 def _combined(ds: Dataset, spec: ResamplerSpec, cleaner, anomaly_note: bool) -> ResampleResult:
     over = smote(ds, spec)
-    inter = over.dataset
-    cleaned = cleaner(inter, spec)
-
-    inter_map = np.full(inter.n_rows, -1, dtype=np.int64)
-    inter_map[: ds.n_rows] = np.arange(ds.n_rows)
-
-    keep = np.setdiff1d(np.arange(inter.n_rows, dtype=np.int64), cleaned.removed_indices)
-    surviving_input_synth = int(
-        (ds.origin.kind[keep[keep < ds.n_rows]] == SYNTHETIC).sum()
-    )
-    final_synth = int((cleaned.dataset.origin.kind == SYNTHETIC).sum())
-
+    cleaned = cleaner(over.dataset, spec)
     notes = over.notes + cleaned.notes
     if anomaly_note and cleaned.n_removed == 0:
         notes = notes + (
             "cleaning stage removed no rows; class counts are identical to plain smote",
         )
-    return ResampleResult(
-        dataset=cleaned.dataset,
-        n_synthetic=final_synth - surviving_input_synth,
-        n_removed=cleaned.n_removed,
-        removed_indices=cleaned.removed_indices,
-        notes=notes,
-        intermediate_to_input=inter_map,
-    )
+    # smote appends its rows after the input's, so removed positions from
+    # ds.n_rows on are smote's own rows
+    n_dropped_new = int((cleaned.removed_indices >= ds.n_rows).sum())
+    return replace(cleaned, n_synthetic=over.n_synthetic - n_dropped_new, notes=notes)
 
 
 def smote_tomek(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:

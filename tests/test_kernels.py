@@ -37,12 +37,15 @@ def reference_sq_dists(query, ref):
 
 
 def reference_knn(query, ref, k, self_idx=None):
-    """The untiled search: the full distance matrix, then a stable argsort per row."""
+    """The untiled search: the full distance matrix, then a stable sort per
+    row by distance, with the excluded self after every other column."""
     dists = reference_sq_dists(query, ref)
+    is_self = np.zeros(dists.shape, dtype=bool)
     if self_idx is not None:
         rows = np.nonzero(self_idx >= 0)[0]
         dists[rows, self_idx[rows]] = np.inf
-    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        is_self[rows, self_idx[rows]] = True
+    order = np.lexsort((is_self, dists))[:, :k]
     return order, np.take_along_axis(dists, order, axis=1)
 
 
@@ -90,7 +93,16 @@ def test_knn_bitwise_on_distances_that_overflow_to_inf() -> None:
         for k in (1, 5, n - 1):
             assert_knn_bitwise(x, x, k, np.arange(n, dtype=np.int64))
             assert_knn_bitwise(query, x, k)
-        assert np.isinf(knn(x, x, n - 1, self_idx=np.arange(n, dtype=np.int64))[1]).any()
+        idx, sqd = knn(x, x, n - 1, self_idx=np.arange(n, dtype=np.int64))
+        assert np.isinf(sqd).any()
+        # a row is never its own neighbour, even among overflowed distances
+        assert (idx != np.arange(n)[:, None]).all()
+
+        # every distance from rows 0 and 1 overflows; the excluded self
+        # still sorts after the other rows
+        x = np.array([[0.0], [1e200], [-1e200], [2e200]])
+        idx, _ = knn(x, x, 2, self_idx=np.arange(4, dtype=np.int64))
+        np.testing.assert_array_equal(idx, [[1, 2], [0, 2], [0, 1], [0, 1]])
 
 
 def test_knn_bitwise_on_tie_heavy_inputs_over_several_tiles() -> None:

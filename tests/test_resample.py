@@ -78,6 +78,9 @@ def test_interpolate_endpoints() -> None:
     np.testing.assert_array_equal(interpolate(a, b, np.array([0.0])), a)
     np.testing.assert_array_equal(interpolate(a, b, np.array([1.0])), b)
     np.testing.assert_array_equal(interpolate(a, b, np.array([0.5])), [[2.0, 3.0]])
+    # 1-d columns (the time axis): one coefficient per value
+    got = interpolate(np.zeros(3), np.ones(3), np.array([0.1, 0.5, 0.9]))
+    np.testing.assert_array_equal(got, [0.1, 0.5, 0.9])
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +443,11 @@ def test_cluster_centroids_infeasible_k() -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_smote_tomek_maps_intermediate_rows(small_imbalanced) -> None:
+def test_smote_tomek_removed_indices_span_input_and_new_rows(small_imbalanced) -> None:
     res = smote_tomek(small_imbalanced, spec("smote_tomek", seed=1))
-    assert res.intermediate_to_input is not None
-    assert res.intermediate_to_input.shape == (36,)  # 24 input + 12 synthetic
-    np.testing.assert_array_equal(res.intermediate_to_input[:24], np.arange(24))
-    np.testing.assert_array_equal(res.intermediate_to_input[24:], np.full(12, -1))
+    assert res.n_removed == len(res.removed_indices)
     if res.n_removed:
-        assert res.removed_indices.max() < 36
+        assert res.removed_indices.max() < 36  # 24 input + 12 synthetic
 
 
 def test_smote_tomek_anomaly_note_when_nothing_removed() -> None:
@@ -475,6 +475,24 @@ def test_smote_enn_cleans_both_classes() -> None:
     # n_synthetic counts surviving smote rows only
     n_synth_out = int((res.dataset.origin.kind == SYNTHETIC).sum())
     assert res.n_synthetic == n_synth_out
+
+
+def test_combined_count_only_their_own_new_rows_on_oversampled_input() -> None:
+    rng = np.random.default_rng(612)
+    for trial in range(20):
+        raw = random_imbalanced(rng, n_min_range=(6, 12), n_maj_range=(30, 50))
+        # half of the way to balance: the input already holds synthetic rows
+        ds = smote(raw, spec("smote", k_neighbors=3, target_ratio=0.5, seed=trial)).dataset
+        for name, fn in (("smote_enn", smote_enn), ("smote_tomek", smote_tomek)):
+            res = fn(ds, spec(name, k_neighbors=3, seed=trial))
+            kept = np.setdiff1d(np.arange(ds.n_rows), res.removed_indices)
+            kept_input_synth = int((ds.origin.kind[kept] == SYNTHETIC).sum())
+            assert kept_input_synth > 0, name
+            n_synth_out = int((res.dataset.origin.kind == SYNTHETIC).sum())
+            assert res.n_synthetic == n_synth_out - kept_input_synth, name
+            # the kept input rows come first, the method's own rows after them
+            assert res.n_synthetic == res.dataset.n_rows - len(kept), name
+            assert res.n_removed == len(res.removed_indices), name
 
 
 def test_combined_synthetic_rows_still_reconstruct(small_imbalanced) -> None:
