@@ -4,6 +4,15 @@ One optional ReLU hidden layer feeding a sigmoid output unit, binary
 cross-entropy loss.  With ``hidden_neurons=0`` the network is exactly
 logistic regression on the raw features.  Everything is plain numpy;
 training is deterministic given the config seed.
+
+``train`` keeps every parameter in one flat float64 buffer of
+``n_parameters`` elements, laid out as ``w2, b2, w1, b1``; the layers are
+views into it.  The gradient and both Adam moments share that layout, so
+a step is one backward pass writing into the gradient buffer and a
+fixed handful of in-place ufunc calls over the whole buffer.  Each
+epoch's shuffled rows are gathered once and batches are slices of them.
+The arithmetic and its order are those of a per-array Adam, so the
+weights are bitwise the same.
 """
 
 from __future__ import annotations
@@ -111,30 +120,62 @@ def init_mlp(cfg: MlpConfig) -> MlpModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp only ever sees -|z|, so it cannot overflow; both branches are
+    # the textbook forms, picked per element by the sign of z
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def _raw_forward(model: MlpModel, x: np.ndarray):
-    if model.w1 is not None:
-        z1 = x @ model.w1.T + model.b1
-        a1 = np.maximum(z1, 0.0)
-        p = _sigmoid(a1 @ model.w2 + model.b2)
+def _views(buf: np.ndarray, cfg: MlpConfig) -> tuple:
+    """``(w2, b2, w1, b1)`` as views into one flat buffer laid out in that order.
+
+    ``b2`` is a one-element view; ``w1`` and ``b1`` are None without a
+    hidden layer.  Parameters, gradients and the Adam moments share this
+    layout, so one ufunc call updates every block at once.
+    """
+    d, h = cfg.n_features, cfg.hidden_neurons
+    k = h or d
+    w2, b2 = buf[:k], buf[k : k + 1]
+    if h == 0:
+        return w2, b2, None, None
+    return w2, b2, buf[k + 1 : k + 1 + h * d].reshape(h, d), buf[k + 1 + h * d :]
+
+
+def _forward(x: np.ndarray, w2, b2, w1, b1):
+    if w1 is None:
+        return None, None, _sigmoid(x @ w2 + b2)
+    z1 = x @ w1.T + b1
+    a1 = np.maximum(z1, 0.0)
+    return z1, a1, _sigmoid(a1 @ w2 + b2)
+
+
+def _backprop(x: np.ndarray, y: np.ndarray, params: tuple, grad: tuple) -> np.ndarray:
+    """Write the mean-BCE gradient of one batch into ``grad``; return its probabilities.
+
+    ``params`` and ``grad`` are ``(w2, b2, w1, b1)`` tuples, the gradient's
+    ``b2`` a one-element array.
+    """
+    w2, b2, w1, b1 = params
+    g_w2, g_b2, g_w1, g_b1 = grad
+    z1, a1, p = _forward(x, w2, b2, w1, b1)
+    dz2 = (p - y) / x.shape[0]
+    g_b2[0] = dz2.sum()
+    if w1 is None:
+        np.matmul(x.T, dz2, out=g_w2)
     else:
-        z1 = None
-        a1 = None
-        p = _sigmoid(x @ model.w2 + model.b2)
-    return z1, a1, p
+        np.matmul(a1.T, dz2, out=g_w2)
+        dz1 = dz2[:, None] * w2
+        dz1 *= z1 > 0
+        np.matmul(dz1.T, x, out=g_w1)
+        dz1.sum(axis=0, out=g_b1)
+    return p
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Predicted probabilities, clamped into (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
-    _, _, p = _raw_forward(model, x)
+    _, _, p = _forward(x, model.w2, model.b2, model.w1, model.b1)
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
@@ -144,43 +185,41 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
 
 
 def loss_and_grad(model: MlpModel, x: np.ndarray, y: np.ndarray):
-    """Mean BCE over the batch plus gradients for every parameter."""
+    """Mean BCE over the batch plus gradients for every parameter.
+
+    The gradient comes from the routine ``train`` runs on every batch.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    z1, a1, p = _raw_forward(model, x)
-    loss = bce_loss(p, y)
-    dz2 = (p - y) / x.shape[0]
+    grad = _views(np.empty(model.n_parameters), model.config)
+    p = _backprop(x, y, (model.w2, model.b2, model.w1, model.b1), grad)
+    grads = {"w2": grad[0], "b2": grad[1][0]}
     if model.w1 is not None:
-        grads = {
-            "w2": a1.T @ dz2,
-            "b2": dz2.sum(),
-        }
-        da1 = np.outer(dz2, model.w2)
-        dz1 = da1 * (z1 > 0)
-        grads["w1"] = dz1.T @ x
-        grads["b1"] = dz1.sum(axis=0)
-    else:
-        grads = {"w2": x.T @ dz2, "b2": dz2.sum()}
-    return loss, grads
+        grads["w1"], grads["b1"] = grad[2], grad[3]
+    return bce_loss(p, y), grads
 
 
-class _Adam:
-    def __init__(self, cfg: MlpConfig, params: dict):
-        self.cfg = cfg
-        self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+def _adam_step(cfg: MlpConfig, t: int, params, grad, m, v, s1, s2) -> None:
+    """One Adam step (Kingma & Ba, 2015) over flat buffers, in place.
 
-    def step(self, params: dict, grads: dict) -> None:
-        cfg = self.cfg
-        self.t += 1
-        for key in params:
-            g = grads[key]
-            self.m[key] = cfg.beta1 * self.m[key] + (1 - cfg.beta1) * g
-            self.v[key] = cfg.beta2 * self.v[key] + (1 - cfg.beta2) * (g * g)
-            m_hat = self.m[key] / (1 - cfg.beta1**self.t)
-            v_hat = self.v[key] / (1 - cfg.beta2**self.t)
-            params[key] = params[key] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    The operations and their order are those of the per-array update
+    ``p - lr * m_hat / (sqrt(v_hat) + eps)``, so every element is bitwise
+    the same; ``s1`` and ``s2`` are scratch.
+    """
+    np.multiply(m, cfg.beta1, out=m)
+    np.multiply(grad, 1 - cfg.beta1, out=s1)
+    np.add(m, s1, out=m)  # b1*m + (1-b1)*g
+    np.multiply(v, cfg.beta2, out=v)
+    np.multiply(grad, grad, out=s1)
+    np.multiply(s1, 1 - cfg.beta2, out=s1)
+    np.add(v, s1, out=v)  # b2*v + (1-b2)*(g*g)
+    np.divide(m, 1 - cfg.beta1**t, out=s1)  # m_hat
+    np.multiply(s1, cfg.learning_rate, out=s1)
+    np.divide(v, 1 - cfg.beta2**t, out=s2)  # v_hat
+    np.sqrt(s2, out=s2)
+    np.add(s2, cfg.epsilon, out=s2)
+    np.divide(s1, s2, out=s1)
+    np.subtract(params, s1, out=params)
 
 
 def train(
@@ -193,10 +232,13 @@ def train(
 
     Rows are reshuffled every epoch (the shuffle stream is derived from
     the config seed); the trailing partial batch is kept.  Returns the
-    trained model and the full-data loss recorded at the end of each
-    epoch.  A non-finite batch loss aborts with the epoch and batch in
-    the message.  ``_permutations`` is a test hook that overrides the
-    per-epoch shuffles.
+    trained model, which shares no memory with ``model``, and the
+    full-data loss recorded at the end of each epoch.  A batch whose loss
+    is non-finite aborts with the epoch and batch in the message; that
+    happens exactly when its ``b2`` gradient is non-finite, since the
+    clamp keeps the logs finite, so the gradient is what gets checked.
+    ``_permutations`` is a test hook that overrides the per-epoch
+    shuffles; each entry must be a permutation of the rows.
     """
     cfg = model.config
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -210,41 +252,40 @@ def train(
             f"training data has {x.shape[1]} features, config says {cfg.n_features}"
         )
     rng = derive_rng(cfg.seed, "shuffle")
-    params = {"w2": model.w2.copy(), "b2": np.float64(model.b2)}
-    if model.w1 is not None:
-        params["w1"] = model.w1.copy()
-        params["b1"] = model.b1.copy()
-    opt = _Adam(cfg, params)
+    params = np.empty(model.n_parameters)
+    w2, b2, w1, b1 = layers = _views(params, cfg)
+    w2[...], b2[0] = model.w2, model.b2
+    if w1 is not None:
+        w1[...], b1[...] = model.w1, model.b1
+    grad = np.empty_like(params)
+    grad_layers = _views(grad, cfg)
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    s1, s2 = np.empty_like(params), np.empty_like(params)
+    # each epoch's shuffled rows, gathered once; batches are slices.  With
+    # out=, mode="raise" would first copy into a temporary of x's size
+    xs, ys = np.empty_like(x), np.empty_like(y)
     history: list[float] = []
     n = x.shape[0]
+    t = 0
     for epoch in range(cfg.epochs):
         if _permutations is not None:
             perm = np.asarray(_permutations[epoch], dtype=np.int64)
         else:
             perm = rng.permutation(n)
+        np.take(x, perm, axis=0, out=xs, mode="clip")
+        np.take(y, perm, out=ys, mode="clip")
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
-            rows = perm[start : start + cfg.batch_size]
-            current = _model_with(model, params)
-            loss, grads = loss_and_grad(current, x[rows], y[rows])
-            if not math.isfinite(loss):
+            stop = start + cfg.batch_size
+            _backprop(xs[start:stop], ys[start:stop], layers, grad_layers)
+            if not math.isfinite(grad_layers[1][0]):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch + 1}, "
                     f"batch {batch_no + 1}"
                 )
-            opt.step(params, grads)
-        trained = _model_with(model, params)
-        history.append(bce_loss(_raw_forward(trained, x)[2], y))
-    return _model_with(model, params), history
-
-
-def _model_with(model: MlpModel, params: dict) -> MlpModel:
-    return MlpModel(
-        config=model.config,
-        w1=params.get("w1"),
-        b1=params.get("b1"),
-        w2=params["w2"],
-        b2=float(params["b2"]),
-    )
+            t += 1
+            _adam_step(cfg, t, params, grad, m, v, s1, s2)
+        history.append(bce_loss(_forward(x, *layers)[2], y))
+    return MlpModel(config=cfg, w1=w1, b1=b1, w2=w2, b2=float(b2[0])), history
 
 
 def predict(model: MlpModel, x: np.ndarray, threshold: float | None = None) -> np.ndarray:

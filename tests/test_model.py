@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from leakbench.model import (
+    _sigmoid,
     MlpConfig,
     MlpModel,
     PROB_CLAMP,
@@ -277,17 +278,19 @@ def test_training_is_deterministic() -> None:
 # ---------------------------------------------------------------------------
 
 
+def reference_sigmoid(z):
+    """The masked logistic: each branch's exp sees only non-positive input."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+
 def oracle_logistic_adam(c: MlpConfig, x, y):
     """Independent reimplementation of the zero-hidden training path."""
-
-    def sigmoid(z):
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-
     rng = derive_rng(c.seed, "init")
     bound = math.sqrt(6.0 / (c.n_features + 1))
     w = rng.uniform(-bound, bound, c.n_features)
@@ -306,7 +309,7 @@ def oracle_logistic_adam(c: MlpConfig, x, y):
         for start in range(0, n, c.batch_size):
             rows = perm[start : start + c.batch_size]
             xb, yb = x[rows], y[rows]
-            p = sigmoid(xb @ w + b)
+            p = reference_sigmoid(xb @ w + b)
             dz = (p - yb) / xb.shape[0]
             g_w = xb.T @ dz
             g_b = dz.sum()
@@ -346,3 +349,192 @@ def test_predict_threshold_boundary_is_positive() -> None:
     np.testing.assert_array_equal(predict(m, x), [1, 1, 1])
     np.testing.assert_array_equal(predict(m, x, threshold=0.51), [0, 0, 0])
 
+
+# ---------------------------------------------------------------------------
+# the flat-buffer trainer against the dict-based loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_loss_and_grad(model: MlpModel, x, y):
+    """Per-batch loss and a fresh gradient dict, as the trainer once computed them."""
+    if model.w1 is not None:
+        z1 = x @ model.w1.T + model.b1
+        a1 = np.maximum(z1, 0.0)
+        p = reference_sigmoid(a1 @ model.w2 + model.b2)
+    else:
+        p = reference_sigmoid(x @ model.w2 + model.b2)
+    loss = bce_loss(p, y)
+    dz2 = (p - y) / x.shape[0]
+    if model.w1 is not None:
+        grads = {"w2": a1.T @ dz2, "b2": dz2.sum()}
+        dz1 = np.outer(dz2, model.w2) * (z1 > 0)
+        grads["w1"] = dz1.T @ x
+        grads["b1"] = dz1.sum(axis=0)
+    else:
+        grads = {"w2": x.T @ dz2, "b2": dz2.sum()}
+    return loss, grads
+
+
+class ReferenceAdam:
+    """Adam over a dict of arrays, one fresh array per parameter per step."""
+
+    def __init__(self, c: MlpConfig, params: dict):
+        self.c = c
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params: dict, grads: dict) -> None:
+        c = self.c
+        self.t += 1
+        for key in params:
+            g = grads[key]
+            self.m[key] = c.beta1 * self.m[key] + (1 - c.beta1) * g
+            self.v[key] = c.beta2 * self.v[key] + (1 - c.beta2) * (g * g)
+            m_hat = self.m[key] / (1 - c.beta1**self.t)
+            v_hat = self.v[key] / (1 - c.beta2**self.t)
+            params[key] = params[key] - c.learning_rate * m_hat / (np.sqrt(v_hat) + c.epsilon)
+
+
+def forward_unclamped(model: MlpModel, x):
+    if model.w1 is not None:
+        return reference_sigmoid(np.maximum(x @ model.w1.T + model.b1, 0.0) @ model.w2 + model.b2)
+    return reference_sigmoid(x @ model.w2 + model.b2)
+
+
+def reference_train(model: MlpModel, x, y, _permutations=None):
+    """The dict-based training loop: a model per batch, the batch loss checked."""
+    c = model.config
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+
+    def model_with(params):
+        return MlpModel(c, params.get("w1"), params.get("b1"), params["w2"], float(params["b2"]))
+
+    rng = derive_rng(c.seed, "shuffle")
+    params = {"w2": model.w2.copy(), "b2": np.float64(model.b2)}
+    if model.w1 is not None:
+        params["w1"] = model.w1.copy()
+        params["b1"] = model.b1.copy()
+    opt = ReferenceAdam(c, params)
+    history = []
+    n = x.shape[0]
+    for epoch in range(c.epochs):
+        if _permutations is not None:
+            perm = np.asarray(_permutations[epoch], dtype=np.int64)
+        else:
+            perm = rng.permutation(n)
+        for batch_no, start in enumerate(range(0, n, c.batch_size)):
+            rows = perm[start : start + c.batch_size]
+            loss, grads = reference_loss_and_grad(model_with(params), x[rows], y[rows])
+            if not math.isfinite(loss):
+                raise RuntimeError(
+                    f"training diverged: non-finite loss at epoch {epoch + 1}, "
+                    f"batch {batch_no + 1}"
+                )
+            opt.step(params, grads)
+        trained = model_with(params)
+        history.append(bce_loss(forward_unclamped(trained, x), y))
+    return model_with(params), history
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def assert_same_training(got, want) -> None:
+    (a, ha), (b, hb) = got, want
+    for name in ("w1", "b1", "w2"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.shape == y.shape and bits(x) == bits(y), name
+    assert bits(a.b2) == bits(b.b2)
+    assert bits(ha) == bits(hb)
+
+
+def test_train_matches_reference_bitwise() -> None:
+    n, d, epochs = 23, 4, 3
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((n, d)) * 2.0
+    y = (rng.random(n) < 0.3).astype(np.float64)
+    perms = [rng.permutation(n) for _ in range(epochs)]
+    for hidden in (0, 1, 3, 16):
+        for batch_size in (1, 7, n, n + 5):
+            for lr in (0.0, 0.05):
+                c = cfg(n_features=d, hidden=hidden, epochs=epochs, batch_size=batch_size,
+                        learning_rate=lr, seed=hidden + batch_size)
+                m = init_mlp(c)
+                for hook in (None, perms):
+                    got = train(m, x, y, hook)
+                    assert_same_training(got, reference_train(m, x, y, hook))
+                    for name in ("w1", "b1", "w2"):
+                        if getattr(m, name) is not None:
+                            assert not np.shares_memory(getattr(got[0], name), getattr(m, name))
+
+
+def test_divergence_matches_reference() -> None:
+    rng = np.random.default_rng(12)
+    n, d = 40, 3
+    raised = returned = 0
+    for trial in range(60):
+        x = rng.standard_normal((n, d))
+        y = (rng.random(n) < 0.5).astype(np.float64)
+        # any planted cell poisons training, so some trials plant none
+        for _ in range(rng.integers(0, 3)):
+            x[rng.integers(n), rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
+        if trial % 3 == 0:
+            y[rng.integers(n)] = np.nan
+        c = cfg(n_features=d, hidden=int(rng.choice([0, 3])), epochs=2, batch_size=8,
+                learning_rate=0.05, seed=trial)
+        m = init_mlp(c)
+        outcomes = []
+        for fn in (train, reference_train):
+            try:
+                with np.errstate(all="ignore"):
+                    outcomes.append(fn(m, x, y))
+            except RuntimeError as exc:
+                outcomes.append(str(exc))
+        got, want = outcomes
+        if isinstance(want, str):
+            raised += 1
+            assert got == want, trial
+        else:
+            returned += 1
+            assert not isinstance(got, str), (trial, got)
+            assert_same_training(got, want)
+    assert raised > 30 and returned > 5
+
+
+def test_inf_row_diverges_one_batch_later() -> None:
+    # an infinite feature with a positive weight scores p = 1 on a
+    # positive row: that batch's loss is finite, but its w2 gradient is
+    # inf * 0 = nan, so the nan shows in the next batch
+    x = np.array([[np.inf, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    y = np.array([1.0, 0.0, 1.0, 0.0])
+    c = cfg(n_features=2, hidden=0, epochs=1, batch_size=2)
+    m = MlpModel(c, None, None, np.ones(2), 0.0)
+    for fn in (train, reference_train):
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match=r"non-finite loss at epoch 1, batch 2$"):
+                fn(m, x, y, [np.arange(4)])
+
+
+def test_sigmoid_matches_masked_form_bitwise() -> None:
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array(
+        [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 709.0, -709.0, 746.0, -746.0,
+         np.inf, -np.inf, np.nan]
+    )
+    rng = np.random.default_rng(13)
+    cases = [special] + [rng.standard_normal(100_000) * s for s in (1e-300, 1e-8, 1.0, 30.0, 1e3)]
+    for z in cases:
+        # exp of z below about -708 underflows in both forms, which is
+        # harmless; any overflow, invalid or divide flag would raise
+        with np.errstate(all="raise", under="ignore"):
+            got = _sigmoid(z)
+            want = reference_sigmoid(z)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        # nan keeps its place; its sign bit is not a value
+        assert bits(got[~nan]) == bits(want[~nan])
