@@ -14,10 +14,13 @@ from pathlib import Path
 from .config import ConfigError, build_grid_config, load_config_file
 from .data import save_csv
 from .experiment import (
+    COUNTER_NAMES,
+    SCHEMA_VERSION,
     GridConfig,
     check_quadratic_gate,
     emit_from_dict,
     emit_report,
+    format_value,
     load_grid_dataset,
     run_cell,
     run_grid,
@@ -135,14 +138,8 @@ def _cmd_audit(cfg: GridConfig) -> int:
             failed = True
             continue
         con = cell.contamination
-        print(
-            f"protocol={protocol}"
-            f" n_test_rows={con.n_test_rows}"
-            f" n_synthetic_in_test={con.n_synthetic_in_test}"
-            f" n_synthetic_parent_in_train={con.n_synthetic_parent_in_train}"
-            f" n_cross_split_duplicates={con.n_cross_split_duplicates}"
-            f" leak_flag={'true' if con.leak_flag else 'false'}"
-        )
+        counters = (f"{name}={format_value(getattr(con, name))}" for name in COUNTER_NAMES)
+        print(" ".join([f"protocol={protocol}", *counters]))
         f1[protocol] = cell.metrics.scalars.f1
     if f1.get("leaky") is not None and f1.get("clean") is not None:
         print(
@@ -180,10 +177,12 @@ def _cmd_report(cfg: GridConfig) -> int:
     source = Path(cfg.output_dir) / "report.json"
     try:
         payload = json.loads(source.read_text())
-        paths = emit_from_dict(payload, cfg.output_dir, cfg.formats)
     except FileNotFoundError:
         print(f"error: no report found at {source}", file=sys.stderr)
         return 2
+    if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"{source} is not a version-{SCHEMA_VERSION} leakbench report")
+    paths = emit_from_dict(payload, cfg.output_dir, cfg.formats)
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SynthConfig, expand_features, generate_synthetic, load_csv
-from .metrics import MetricReport
+from .metrics import ConfusionMatrix, MetricReport, ScalarMetrics
 from .model import MlpConfig, ModelParams
 from .pipeline import (
     PROTOCOLS,
@@ -75,6 +75,21 @@ DEFAULT_N_VALUES = (0, 1, 2, 4, 6, 8, 10, 12, 16)
 # rows, up to twice as many, so four times as long.
 QUADRATIC_ROW_LIMIT = 100_000
 
+SCHEMA_VERSION = "1"
+
+# The report's per-cell column names, in report order, taken from the
+# result dataclasses so that every output lists the same fields.
+CONFUSION_NAMES = tuple(f.name for f in fields(ConfusionMatrix))
+METRIC_NAMES = (*(f.name for f in fields(ScalarMetrics)), "roc_auc", "average_precision")
+COUNTER_NAMES = tuple(f.name for f in fields(ContaminationReport))
+
+
+def metric_dict(report: MetricReport) -> dict:
+    """The report's metrics keyed and ordered by METRIC_NAMES."""
+    curves = {"roc_auc": report.roc_auc, "average_precision": report.average_precision}
+    return {**asdict(report.scalars), **curves}
+
+
 # Metadata of a GridConfig field that has a Python default but that config
 # documents must still give.
 DOC_REQUIRED = {"doc_required": True}
@@ -128,10 +143,14 @@ class GridConfig:
             raise ValueError("seeds must not be empty")
         if len(self.n_values) == 0:
             raise ValueError("n_values must not be empty")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ValueError("n_values must not repeat")
         if any(n < 0 for n in self.n_values):
             raise ValueError("n_values must be non-negative")
         if len(self.protocols) == 0:
             raise ValueError("protocols must not be empty")
+        if len(set(self.protocols)) < len(self.protocols):
+            raise ValueError("protocols must not repeat")
         for p in self.protocols:
             if p not in PROTOCOLS:
                 raise ValueError(f"unknown protocol {p!r}")
@@ -196,22 +215,9 @@ class CellResult:
             "wall_time_s": self.wall_time_s,
             "error": self.error,
         }
-        if self.metrics is None:
-            out["confusion"] = None
-            out["metrics"] = None
-        else:
-            cm = self.metrics.confusion
-            s = self.metrics.scalars
-            out["confusion"] = {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn}
-            out["metrics"] = {
-                "accuracy": s.accuracy,
-                "precision": s.precision,
-                "recall": s.recall,
-                "specificity": s.specificity,
-                "f1": s.f1,
-                "roc_auc": self.metrics.roc_auc,
-                "average_precision": self.metrics.average_precision,
-            }
+        measured = self.metrics is not None
+        out["confusion"] = asdict(self.metrics.confusion) if measured else None
+        out["metrics"] = metric_dict(self.metrics) if measured else None
         out["contamination"] = None if self.contamination is None else asdict(self.contamination)
         out["history"] = list(self.history)
         return out
@@ -234,12 +240,12 @@ class GridReport:
             table[protocol] = {}
             for n in self.config.n_values:
                 rows = [
-                    c
+                    metric_dict(c.metrics)
                     for c in self.cells
                     if c.protocol == protocol and c.n_hidden == n and c.error is None
                 ]
                 table[protocol][n] = {
-                    name: _summary(rows, name) for name in _AGG_METRICS
+                    name: _summary([row[name] for row in rows]) for name in METRIC_NAMES
                 }
         return table
 
@@ -262,7 +268,7 @@ class GridReport:
     def to_dict(self) -> dict:
         agg = self.aggregates()
         return {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "reference": {str(n): dict(m) for n, m in REFERENCE_RESULTS.items()},
             "cells": [c.to_dict() for c in self.cells],
@@ -276,29 +282,8 @@ class GridReport:
         }
 
 
-_AGG_METRICS = (
-    "accuracy",
-    "precision",
-    "recall",
-    "specificity",
-    "f1",
-    "roc_auc",
-    "average_precision",
-)
-
-
-def _cell_metric(cell: CellResult, name: str) -> float | None:
-    if cell.metrics is None:
-        return None
-    if name == "roc_auc":
-        return cell.metrics.roc_auc
-    if name == "average_precision":
-        return cell.metrics.average_precision
-    return getattr(cell.metrics.scalars, name)
-
-
-def _summary(rows: list[CellResult], name: str) -> dict:
-    values = [v for v in (_cell_metric(c, name) for c in rows) if v is not None]
+def _summary(values: list[float | None]) -> dict:
+    values = [v for v in values if v is not None]
     if not values:
         return {"median": None, "min": None, "max": None}
     return {
@@ -459,7 +444,8 @@ def compare_to_reference(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value, digits: int = 6) -> str:
+def format_value(value, digits: int = 6) -> str:
+    """A report value as table text: n/a for None, true/false, floats at ``digits``."""
     if value is None:
         return "n/a"
     if isinstance(value, bool):
@@ -471,39 +457,29 @@ def _fmt(value, digits: int = 6) -> str:
 
 def render_cells_csv(report_dict: dict) -> str:
     test_fraction = report_dict["config"]["split"]["test_fraction"]
-    header = (
-        "key,n_hidden,protocol,seed_index,seed,test_fraction,"
-        "tp,fp,tn,fn,accuracy,precision,recall,specificity,f1,roc_auc,average_precision,"
-        "n_test_rows,n_synthetic_in_test,n_synthetic_parent_in_train,"
-        "n_cross_split_duplicates,leak_flag,wall_time_s,error"
-    )
-    lines = [header]
+    ids = ("key", "n_hidden", "protocol", "seed_index", "seed")
+    blocks = {"confusion": CONFUSION_NAMES, "metrics": METRIC_NAMES, "contamination": COUNTER_NAMES}
+    # one column per name of each per-cell block, in block order
+    columns = [(block, name) for block, names in blocks.items() for name in names]
+    header = [*ids, "test_fraction", *(name for _, name in columns), "wall_time_s", "error"]
+    lines = [",".join(header)]
     for cell in report_dict["cells"]:
-        cm = cell["confusion"] or {}
-        met = cell["metrics"] or {}
-        con = cell["contamination"] or {}
         row = [
-            cell["key"],
-            str(cell["n_hidden"]),
-            cell["protocol"],
-            str(cell["seed_index"]),
-            str(cell["seed"]),
-            _fmt(test_fraction, 4),
-            _fmt(cm.get("tp")),
-            _fmt(cm.get("fp")),
-            _fmt(cm.get("tn")),
-            _fmt(cm.get("fn")),
-            *(_fmt(met.get(m)) for m in _AGG_METRICS),
-            _fmt(con.get("n_test_rows")),
-            _fmt(con.get("n_synthetic_in_test")),
-            _fmt(con.get("n_synthetic_parent_in_train")),
-            _fmt(con.get("n_cross_split_duplicates")),
-            _fmt(con.get("leak_flag")),
-            _fmt(cell["wall_time_s"], 3),
+            *(format_value(cell[name]) for name in ids),
+            format_value(test_fraction, 4),
+            *(format_value((cell[block] or {}).get(name)) for block, name in columns),
+            format_value(cell["wall_time_s"], 3),
             "" if cell["error"] is None else cell["error"].replace(",", ";"),
         ]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def _markdown_table(title: str, header: list[str], rows: list[list]) -> list[str]:
+    """A titled markdown table with values at 4 digits, then a blank line."""
+    lines = [f"## {title}", "", "| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines.extend("| " + " | ".join(format_value(v, 4) for v in row) + " |" for row in rows)
+    return lines + [""]
 
 
 def render_markdown(report_dict: dict) -> str:
@@ -522,44 +498,31 @@ def render_markdown(report_dict: dict) -> str:
         "",
     ]
     agg = report_dict["aggregates"]
+    # the table abbreviates average to avg to keep its columns narrow
+    header = ["hidden", *(name.replace("average", "avg") for name in METRIC_NAMES)]
     for protocol in cfg["protocols"]:
-        lines.append(f"## Median metrics by hidden width ({protocol} protocol)")
-        lines.append("")
-        lines.append("| hidden | accuracy | precision | recall | specificity | f1 | roc_auc | avg_precision |")
-        lines.append("|---|---|---|---|---|---|---|---|")
-        for n in cfg["n_values"]:
-            row = agg[protocol][str(n)]
-            cells = " | ".join(_fmt(row[m]["median"], 4) for m in _AGG_METRICS)
-            lines.append(f"| {n} | {cells} |")
-        lines.append("")
+        per_n = agg[protocol]
+        rows = [[n, *(per_n[str(n)][m]["median"] for m in METRIC_NAMES)] for n in cfg["n_values"]]
+        title = f"Median metrics by hidden width ({protocol} protocol)"
+        lines += _markdown_table(title, header, rows)
     gap = report_dict["leakage_gap"]
     if gap:
-        lines.append("## Leakage gap (median f1, leaky - clean)")
-        lines.append("")
-        lines.append("| hidden | leaky f1 | clean f1 | gap |")
-        lines.append("|---|---|---|---|")
-        for n in cfg["n_values"]:
-            row = gap[str(n)]
-            lines.append(
-                f"| {n} | {_fmt(row['leaky_f1'], 4)} | {_fmt(row['clean_f1'], 4)} "
-                f"| {_fmt(row['gap'], 4)} |"
-            )
-        lines.append("")
+        keys = ("leaky_f1", "clean_f1", "gap")
+        rows = [[n, *(gap[str(n)][k] for k in keys)] for n in cfg["n_values"]]
+        header = ["hidden", "leaky f1", "clean f1", "gap"]
+        lines += _markdown_table("Leakage gap (median f1, leaky - clean)", header, rows)
     reference = report_dict["reference"]
     ref_widths = sorted(int(n) for n in reference)
     if "leaky" in cfg["protocols"] and set(ref_widths) <= set(cfg["n_values"]):
-        lines.append("## Reference comparison (leaky medians vs published reference)")
-        lines.append("")
-        lines.append("| hidden | f1 observed | f1 reference | abs deviation |")
-        lines.append("|---|---|---|---|")
+        rows = []
         for n in ref_widths:
             observed = agg["leaky"][str(n)]["f1"]["median"]
             expected = reference[str(n)]["f1"]
             dev = None if observed is None else abs(observed - expected)
-            lines.append(
-                f"| {n} | {_fmt(observed, 4)} | {_fmt(expected, 4)} | {_fmt(dev, 4)} |"
-            )
-        lines.append("")
+            rows.append([n, observed, expected, dev])
+        header = ["hidden", "f1 observed", "f1 reference", "abs deviation"]
+        title = "Reference comparison (leaky medians vs published reference)"
+        lines += _markdown_table(title, header, rows)
     lines.append(
         "Average precision uses the step-sum definition sum((R_n - R_n-1) * P_n); "
         "metrics with a zero denominator are reported as n/a."

@@ -176,6 +176,8 @@ BAD_VALUES = [
     (("resampler", "m_neighbors"), 10.0, "resampler.m_neighbors must be an integer"),
     (("dataset", "synthetic", "fraud_burst"), 3, "dataset.synthetic.fraud_burst must be a boolean"),
     (("dataset", "columns"), [], "dataset: columns must not be empty"),
+    (("n_values",), [2, 2], "n_values must not repeat"),
+    (("protocols",), ["leaky", "clean", "leaky"], "protocols must not repeat"),
 ]
 
 
@@ -424,6 +426,14 @@ def test_audit_prints_contamination_lines(tmp_path, capsys):
     assert len(lines) == 3
     leaky, clean, gap = lines
     assert leaky.startswith("protocol=leaky n_test_rows=72 n_synthetic_in_test=")
+    assert [pair.split("=")[0] for pair in leaky.split()] == [
+        "protocol",
+        "n_test_rows",
+        "n_synthetic_in_test",
+        "n_synthetic_parent_in_train",
+        "n_cross_split_duplicates",
+        "leak_flag",
+    ]
     assert leaky.endswith("leak_flag=true")
     synth_in_test = int(leaky.split("n_synthetic_in_test=")[1].split()[0])
     assert synth_in_test > 0
@@ -515,6 +525,19 @@ def test_report_without_stored_json_exits_two(tmp_path, capsys):
     assert main(["report", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert f"error: no report found at {tmp_path / 'out' / 'report.json'}" in err
+
+
+@pytest.mark.parametrize("payload", [{}, [1, 2], {"schema_version": "2"}, "report"])
+def test_report_refuses_a_payload_that_is_not_a_report(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path)
+    source = tmp_path / "out" / "report.json"
+    source.parent.mkdir()
+    source.write_text(json.dumps(payload))
+    stored = source.read_bytes()
+    assert main(["report", "--config", cfg]) == 2
+    assert f"error: {source} is not a version-1 leakbench report" in capsys.readouterr().err
+    assert source.read_bytes() == stored
+    assert sorted(p.name for p in source.parent.iterdir()) == ["report.json"]
 
 
 def test_report_rejects_svg_reemission(tmp_path, capsys):

@@ -8,7 +8,10 @@ import pytest
 
 from leakbench.data import SynthConfig, save_csv, generate_synthetic
 from leakbench.experiment import (
+    CONFUSION_NAMES,
+    COUNTER_NAMES,
     DEFAULT_N_VALUES,
+    METRIC_NAMES,
     QUADRATIC_ROW_LIMIT,
     REFERENCE_METRICS,
     REFERENCE_RESULTS,
@@ -79,10 +82,16 @@ def test_grid_config_validation():
         tiny_grid(n_values=())
     with pytest.raises(ValueError, match="non-negative"):
         tiny_grid(n_values=(0, -1))
+    with pytest.raises(ValueError, match="n_values must not repeat"):
+        tiny_grid(n_values=(2, 0, 2))
     with pytest.raises(ValueError, match="protocols must not be empty"):
         tiny_grid(protocols=())
     with pytest.raises(ValueError, match="unknown protocol 'oops'"):
         tiny_grid(protocols=("leaky", "oops"))
+    with pytest.raises(ValueError, match="protocols must not repeat"):
+        tiny_grid(protocols=("leaky", "clean", "leaky"))
+    # a repeated seed is a separate cell: seed_index gives it its own streams
+    assert tiny_grid(seeds=(7, 7)).seeds == (7, 7)
     with pytest.raises(ValueError, match="unknown output formats: pdf"):
         tiny_grid(formats=("json", "pdf"))
 
@@ -258,6 +267,11 @@ def test_report_dict_uses_string_keys():
     assert set(payload["leakage_gap"]) == {"0", "2"}
     assert set(payload["reference"]) == {str(n) for n in DEFAULT_N_VALUES}
     json.dumps(payload)  # everything must be json-serializable
+    cell = payload["cells"][0]
+    assert tuple(cell["confusion"]) == CONFUSION_NAMES
+    assert tuple(cell["metrics"]) == METRIC_NAMES
+    assert tuple(cell["contamination"]) == COUNTER_NAMES
+    assert tuple(payload["aggregates"]["leaky"]["0"]) == METRIC_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +331,12 @@ def test_cells_csv_layout():
     report = run_grid(tiny_grid())
     text = render_cells_csv(report.to_dict())
     lines = text.strip().split("\n")
+    assert lines[0] == (
+        "key,n_hidden,protocol,seed_index,seed,test_fraction,"
+        "tp,fp,tn,fn,accuracy,precision,recall,specificity,f1,roc_auc,average_precision,"
+        "n_test_rows,n_synthetic_in_test,n_synthetic_parent_in_train,"
+        "n_cross_split_duplicates,leak_flag,wall_time_s,error"
+    )
     header = lines[0].split(",")
     assert header[:6] == ["key", "n_hidden", "protocol", "seed_index", "seed", "test_fraction"]
     assert header[-1] == "error"
@@ -347,6 +367,12 @@ def test_markdown_summary_content():
     assert "- dataset: synthetic" in md
     assert "## Median metrics by hidden width (leaky protocol)" in md
     assert "## Median metrics by hidden width (clean protocol)" in md
+    lines = md.split("\n")
+    table = lines.index("## Median metrics by hidden width (leaky protocol)") + 2
+    assert lines[table] == (
+        "| hidden | accuracy | precision | recall | specificity | f1 | roc_auc | avg_precision |"
+    )
+    assert lines[table + 1] == "|---|---|---|---|---|---|---|---|"
     assert "## Leakage gap (median f1, leaky - clean)" in md
     # the reference table needs every reference width, which this grid lacks
     assert "Reference comparison" not in md
