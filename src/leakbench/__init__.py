@@ -32,7 +32,6 @@ from .metrics import ConfusionMatrix, MetricReport, confusion, evaluate, pr_curv
 from .model import MlpConfig, MlpModel, bce_loss, forward, init_mlp, predict, train
 from .pipeline import (
     ContaminationReport,
-    ProtocolSpec,
     SplitSpec,
     contamination_audit,
     fit_scaler,
@@ -56,7 +55,6 @@ __all__ = [
     "MlpConfig",
     "MlpModel",
     "ModelParams",
-    "ProtocolSpec",
     "REFERENCE_RESULTS",
     "ResampleResult",
     "ResamplerSpec",

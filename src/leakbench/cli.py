@@ -9,34 +9,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, build_grid_config, load_config_file
 from .data import save_csv
 from .experiment import (
     COUNTER_NAMES,
+    FORMATS,
     SCHEMA_VERSION,
     GridConfig,
-    check_quadratic_gate,
+    GridReport,
     emit_from_dict,
     emit_report,
     format_value,
     load_grid_dataset,
-    run_cell,
     run_grid,
     write_cell_curves,
 )
 
 __all__ = ["build_parser", "main"]
-
-_COMMANDS = {
-    "generate": "write the configured synthetic dataset as a CSV file",
-    "run": "run the full grid and emit reports",
-    "audit": "run one cell per protocol and print the contamination report",
-    "curves": "train one cell and write its ROC/PR curve files",
-    "report": "re-emit table formats from an existing report.json",
-    "help": "show this help and exit",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,16 +40,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in _COMMANDS.items():
+    for name, (text, handler) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text, description=text)
-        if name == "help":
+        if handler is None:
             continue
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--seed", type=int, help="replace the config's seed list with this one seed")
         cmd.add_argument("--out", help="override the config's output directory")
         cmd.add_argument(
             "--formats",
-            help="comma-separated subset of json,csv,markdown,svg overriding the config",
+            help=f"comma-separated subset of {','.join(FORMATS)} overriding the config",
         )
         cmd.add_argument(
             "--allow-quadratic",
@@ -74,17 +66,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    if args.command == "help":
+    handler = _COMMANDS[args.command][1]
+    if handler is None:
         parser.print_help()
         return 0
-
-    handler = {
-        "generate": _cmd_generate,
-        "run": _cmd_run,
-        "audit": _cmd_audit,
-        "curves": _cmd_curves,
-        "report": _cmd_report,
-    }[args.command]
     try:
         doc = load_config_file(args.config)
         formats = None
@@ -105,11 +90,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _preflight(cfg: GridConfig):
-    """Load the dataset and check the quadratic gate; problems exit 2."""
-    ds = load_grid_dataset(cfg.dataset)
-    check_quadratic_gate(cfg, ds.n_rows)
-    return ds
+def _report_failed_cells(report: GridReport) -> int:
+    """Print each failed cell to stderr; the exit code for the cells' outcome."""
+    for cell in report.failed_cells:
+        print(f"cell {cell.key} failed: {cell.error}", file=sys.stderr)
+    return 1 if report.failed_cells else 0
 
 
 def _cmd_run(cfg: GridConfig) -> int:
@@ -117,47 +102,41 @@ def _cmd_run(cfg: GridConfig) -> int:
     paths = emit_report(report, cfg.output_dir, cfg.formats)
     for path in paths:
         print(f"wrote {path}")
-    for cell in report.failed_cells:
-        print(f"cell {cell.key} failed: {cell.error}", file=sys.stderr)
+    code = _report_failed_cells(report)
     print(
         f"{len(report.cells)} cells, {len(report.failed_cells)} failed, "
         f"{report.total_wall_time_s:.1f}s"
     )
-    return 1 if report.failed_cells else 0
+    return code
 
 
 def _cmd_audit(cfg: GridConfig) -> int:
-    ds = _preflight(cfg)
-    width = cfg.n_values[0]
+    report = run_grid(replace(cfg, n_values=cfg.n_values[:1], seeds=cfg.seeds[:1]))
     f1 = {}
-    failed = False
-    for protocol in cfg.protocols:
-        cell = run_cell(ds, cfg, width, protocol, 0)
+    for cell in report.cells:
         if cell.error is not None:
-            print(f"cell {cell.key} failed: {cell.error}", file=sys.stderr)
-            failed = True
             continue
         con = cell.contamination
         counters = (f"{name}={format_value(getattr(con, name))}" for name in COUNTER_NAMES)
-        print(" ".join([f"protocol={protocol}", *counters]))
-        f1[protocol] = cell.metrics.scalars.f1
+        print(" ".join([f"protocol={cell.protocol}", *counters]))
+        f1[cell.protocol] = cell.metrics.scalars.f1
     if f1.get("leaky") is not None and f1.get("clean") is not None:
         print(
             f"f1 leaky={f1['leaky']:.4f} clean={f1['clean']:.4f} "
             f"gap={f1['leaky'] - f1['clean']:.4f}"
         )
-    return 1 if failed else 0
+    return _report_failed_cells(report)
 
 
 def _cmd_curves(cfg: GridConfig) -> int:
-    ds = _preflight(cfg)
-    cell = run_cell(ds, cfg, cfg.n_values[0], cfg.protocols[0], 0)
-    if cell.error is not None:
-        print(f"cell {cell.key} failed: {cell.error}", file=sys.stderr)
-        return 1
-    for path in write_cell_curves(cell, Path(cfg.output_dir) / "curves"):
-        print(f"wrote {path}")
-    return 0
+    narrowed = replace(
+        cfg, n_values=cfg.n_values[:1], protocols=cfg.protocols[:1], seeds=cfg.seeds[:1]
+    )
+    report = run_grid(narrowed)
+    for cell in report.cells:
+        for path in write_cell_curves(cell, Path(cfg.output_dir) / "curves"):
+            print(f"wrote {path}")
+    return _report_failed_cells(report)
 
 
 def _cmd_generate(cfg: GridConfig) -> int:
@@ -182,10 +161,25 @@ def _cmd_report(cfg: GridConfig) -> int:
         return 2
     if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{source} is not a version-{SCHEMA_VERSION} leakbench report")
-    paths = emit_from_dict(payload, cfg.output_dir, cfg.formats)
+    try:
+        paths = emit_from_dict(payload, cfg.output_dir, cfg.formats)
+    except (KeyError, TypeError, AttributeError):
+        # a version-1 payload that lacks a field the tables need, or holds one of the wrong type
+        raise ValueError(f"{source} is not a version-{SCHEMA_VERSION} leakbench report") from None
     for path in paths:
         print(f"wrote {path}")
     return 0
+
+
+# name -> (help text, handler); help has no handler and prints the usage
+_COMMANDS = {
+    "generate": ("write the configured synthetic dataset as a CSV file", _cmd_generate),
+    "run": ("run the full grid and emit reports", _cmd_run),
+    "audit": ("run one cell per protocol and print the contamination report", _cmd_audit),
+    "curves": ("train one cell and write its ROC/PR curve files", _cmd_curves),
+    "report": ("re-emit table formats from an existing report.json", _cmd_report),
+    "help": ("show this help and exit", None),
+}
 
 
 if __name__ == "__main__":

@@ -22,8 +22,6 @@ from .pipeline import (
     PROTOCOLS,
     SCALER_METHODS,
     ContaminationReport,
-    ProtocolSpec,
-    RunArtifacts,
     SplitSpec,
     run_protocol,
 )
@@ -110,6 +108,8 @@ class DatasetSpec:
             raise ValueError("dataset needs exactly one of a synthetic config or a csv path")
         if self.columns is not None and len(self.columns) == 0:
             raise ValueError("columns must not be empty")
+        if self.columns is not None and len(set(self.columns)) < len(self.columns):
+            raise ValueError("columns must not repeat")
         if self.feature_degree not in (1, 2):
             raise ValueError("feature_degree must be 1 or 2")
 
@@ -135,7 +135,7 @@ class GridConfig:
     scaler: str = "standardize"
     model: ModelParams = field(default_factory=ModelParams)
     output_dir: str = "leakbench_out"
-    formats: tuple[str, ...] = ("json", "csv", "markdown")
+    formats: tuple[str, ...] = field(default_factory=lambda: tuple(TABLES))
     allow_quadratic: bool = False
 
     def __post_init__(self) -> None:
@@ -156,7 +156,7 @@ class GridConfig:
                 raise ValueError(f"unknown protocol {p!r}")
         if self.scaler not in SCALER_METHODS:
             raise ValueError(f"unknown scaler {self.scaler!r}; expected one of {SCALER_METHODS}")
-        bad = [f for f in self.formats if f not in ("json", "csv", "markdown", "svg")]
+        bad = [f for f in self.formats if f not in FORMATS]
         if bad:
             raise ValueError(f"unknown output formats: {', '.join(bad)}")
 
@@ -335,12 +335,8 @@ def run_cell(
     """Run one grid cell; failures are captured, not raised."""
     seed = cfg.seeds[seed_index]
     stream = derive_seed(seed, n_hidden, protocol, seed_index)
-    proto = ProtocolSpec(
-        protocol=protocol,
-        split=replace(cfg.split, seed=derive_seed(stream, "split")),
-        resampler=replace(cfg.resampler, seed=derive_seed(stream, "resample")),
-        scaler=cfg.scaler,
-    )
+    split_spec = replace(cfg.split, seed=derive_seed(stream, "split"))
+    resampler = replace(cfg.resampler, seed=derive_seed(stream, "resample"))
     model_cfg = MlpConfig(
         **asdict(cfg.model),
         n_features=ds.n_features,
@@ -356,7 +352,7 @@ def run_cell(
     )
     started = time.perf_counter()
     try:
-        arts: RunArtifacts = run_protocol(ds, proto, model_cfg)
+        arts = run_protocol(ds, protocol, split_spec, resampler, cfg.scaler, model_cfg)
     except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
         cell.error = f"{type(exc).__name__}: {exc}"
     else:
@@ -455,6 +451,10 @@ def format_value(value, digits: int = 6) -> str:
     return str(value)
 
 
+def render_json(report_dict: dict) -> str:
+    return json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
+
+
 def render_cells_csv(report_dict: dict) -> str:
     test_fraction = report_dict["config"]["split"]["test_fraction"]
     ids = ("key", "n_hidden", "protocol", "seed_index", "seed")
@@ -531,6 +531,16 @@ def render_markdown(report_dict: dict) -> str:
     return "\n".join(lines)
 
 
+# Every table format: its file name under the output directory and the
+# renderer that builds the file's text from a report.json payload.
+TABLES = {
+    "json": ("report.json", render_json),
+    "csv": ("cells.csv", render_cells_csv),
+    "markdown": ("summary.md", render_markdown),
+}
+FORMATS = (*TABLES, "svg")
+
+
 def _curve_svg(points: np.ndarray, xlabel: str, ylabel: str, title: str) -> str:
     size, margin = 420, 50
     span = size - 2 * margin
@@ -593,13 +603,9 @@ def write_cell_curves(cell: CellResult, curves_dir: Path) -> list[Path]:
     return written
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def emit_report(report: GridReport, out_dir: str, formats: tuple[str, ...]) -> list[Path]:
     """Write the requested formats under out_dir; returns the paths."""
-    tables = tuple(f for f in formats if f != "svg")
+    tables = tuple(f for f in formats if f in TABLES)
     written = emit_from_dict(report.to_dict(), out_dir, tables)
     if "svg" in formats:
         for cell in report.cells:
@@ -615,19 +621,10 @@ def emit_from_dict(report_dict: dict, out_dir: str, formats: tuple[str, ...]) ->
     """
     if "svg" in formats:
         raise ValueError("svg re-emission needs a rerun; report.json keeps no curve points")
+    # render every table first, so a payload a renderer cannot read writes nothing
+    texts = {name: render(report_dict) for fmt, (name, render) in TABLES.items() if fmt in formats}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if "json" in formats:
-        path = out / "report.json"
-        path.write_text(_dump_json(report_dict))
-        written.append(path)
-    if "csv" in formats:
-        path = out / "cells.csv"
-        path.write_text(render_cells_csv(report_dict))
-        written.append(path)
-    if "markdown" in formats:
-        path = out / "summary.md"
-        path.write_text(render_markdown(report_dict))
-        written.append(path)
-    return written
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    return [out / name for name in texts]

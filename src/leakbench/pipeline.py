@@ -26,7 +26,6 @@ from .seeding import CELL_SEED
 
 __all__ = [
     "ContaminationReport",
-    "ProtocolSpec",
     "RunArtifacts",
     "ScalerParams",
     "SplitSpec",
@@ -72,24 +71,6 @@ class ScalerParams:
     center: np.ndarray
     scale: np.ndarray
     constant_mask: np.ndarray
-
-
-@dataclass
-class ProtocolSpec:
-    protocol: str
-    split: SplitSpec
-    resampler: ResamplerSpec
-    scaler: str = "standardize"
-
-    def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(
-                f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}"
-            )
-        if self.scaler not in SCALER_METHODS:
-            raise ValueError(
-                f"unknown scaler {self.scaler!r}; expected one of {SCALER_METHODS}"
-            )
 
 
 @dataclass
@@ -263,22 +244,31 @@ def contamination_audit(train: Dataset, test: Dataset) -> ContaminationReport:
 # ---------------------------------------------------------------------------
 
 
-def run_protocol(ds: Dataset, proto: ProtocolSpec, model_cfg: MlpConfig) -> RunArtifacts:
+def run_protocol(
+    ds: Dataset,
+    protocol: str,
+    split_spec: SplitSpec,
+    resampler: ResamplerSpec,
+    scaler: str,
+    model_cfg: MlpConfig,
+) -> RunArtifacts:
     """Run one protocol end to end and evaluate on its test side."""
-    if proto.protocol == "leaky":
-        params = fit_scaler(ds, np.arange(ds.n_rows), proto.scaler)
+    if protocol == "leaky":
+        params = fit_scaler(ds, np.arange(ds.n_rows), scaler)
         scaled = apply_scaler(ds, params)
-        res = apply_resampler(scaled, proto.resampler)
-        train_rows, test_rows = split(res.dataset, proto.split)
+        res = apply_resampler(scaled, resampler)
+        train_rows, test_rows = split(res.dataset, split_spec)
         train_ds = res.dataset.take(train_rows)
         test_ds = res.dataset.take(test_rows)
-    else:
-        train_rows, test_rows = split(ds, proto.split)
-        params = fit_scaler(ds, train_rows, proto.scaler)
+    elif protocol == "clean":
+        train_rows, test_rows = split(ds, split_spec)
+        params = fit_scaler(ds, train_rows, scaler)
         scaled = apply_scaler(ds, params)
-        res = apply_resampler(scaled.take(train_rows), proto.resampler)
+        res = apply_resampler(scaled.take(train_rows), resampler)
         train_ds = res.dataset
         test_ds = scaled.take(test_rows)
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
 
     contamination = contamination_audit(train_ds, test_ds)
     cfg = replace(model_cfg, n_features=train_ds.n_features)

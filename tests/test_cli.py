@@ -16,7 +16,7 @@ import pytest
 from leakbench.cli import main
 from leakbench.config import ConfigError, build_grid_config, load_config_file
 from leakbench.data import SynthConfig, generate_synthetic, save_csv
-from leakbench.experiment import GridConfig
+from leakbench.experiment import COUNTER_NAMES, GridConfig, format_value
 from leakbench.pipeline import SCALER_METHODS, SPLIT_STRATEGIES
 from leakbench.resample import METHODS
 
@@ -176,6 +176,7 @@ BAD_VALUES = [
     (("resampler", "m_neighbors"), 10.0, "resampler.m_neighbors must be an integer"),
     (("dataset", "synthetic", "fraud_burst"), 3, "dataset.synthetic.fraud_burst must be a boolean"),
     (("dataset", "columns"), [], "dataset: columns must not be empty"),
+    (("dataset", "columns"), ["V1", "V1"], "dataset: columns must not repeat"),
     (("n_values",), [2, 2], "n_values must not repeat"),
     (("protocols",), ["leaky", "clean", "leaky"], "protocols must not repeat"),
 ]
@@ -448,6 +449,25 @@ def test_audit_prints_contamination_lines(tmp_path, capsys):
     assert gap_val == pytest.approx(leaky_f1 - clean_f1, abs=1e-4)
 
 
+def test_audit_and_curves_run_the_grid_cells_they_name(tmp_path, capsys):
+    # the first width is not the smallest and the seed list has two entries,
+    # so a cell taken from the wrong width or seed index would not match
+    cfg = write_config(tmp_path, n_values=[2, 0], seeds=[7, 8])
+    grid_out = tmp_path / "grid"
+    assert main(["run", "--config", cfg, "--formats", "json,svg", "--out", str(grid_out)]) == 0
+    assert main(["audit", "--config", cfg]) == 0
+    assert main(["curves", "--config", cfg]) == 0
+    audit_lines = capsys.readouterr().out.splitlines()
+    cells = {c["key"]: c for c in json.loads((grid_out / "report.json").read_text())["cells"]}
+    for protocol in ("leaky", "clean"):
+        con = cells[f"N2_{protocol}_s0"]["contamination"]
+        counters = (f"{name}={format_value(con[name])}" for name in COUNTER_NAMES)
+        assert " ".join([f"protocol={protocol}", *counters]) in audit_lines
+    name = "N2_leaky_s0_roc.csv"
+    curve = (tmp_path / "out" / "curves" / name).read_bytes()
+    assert curve == (grid_out / "curves" / name).read_bytes()
+
+
 def test_audit_reports_cell_failure(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -527,7 +547,25 @@ def test_report_without_stored_json_exits_two(tmp_path, capsys):
     assert f"error: no report found at {tmp_path / 'out' / 'report.json'}" in err
 
 
-@pytest.mark.parametrize("payload", [{}, [1, 2], {"schema_version": "2"}, "report"])
+NOT_REPORTS = [
+    {},
+    [1, 2],
+    {"schema_version": "2"},
+    "report",
+    {"schema_version": "1"},
+    {"schema_version": "1", "config": {}},
+    {
+        "schema_version": "1",
+        "config": {"split": {"test_fraction": 0.25}},
+        # a cell whose confusion block is a list, not an object
+        "cells": [
+            dict(key="N0_leaky_s0", n_hidden=0, protocol="leaky", seed_index=0, seed=7, confusion=[1]),
+        ],
+    },
+]
+
+
+@pytest.mark.parametrize("payload", NOT_REPORTS)
 def test_report_refuses_a_payload_that_is_not_a_report(tmp_path, capsys, payload):
     cfg = write_config(tmp_path)
     source = tmp_path / "out" / "report.json"

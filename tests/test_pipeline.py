@@ -3,6 +3,8 @@ two protocol orderings run end to end."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from leakbench.data import Dataset, RowOrigin, SYNTHETIC, SynthConfig, generate_
 from leakbench.model import MlpConfig
 from leakbench.pipeline import (
     ContaminationReport,
-    ProtocolSpec,
     SplitSpec,
     apply_scaler,
     contamination_audit,
@@ -302,16 +303,22 @@ def overlap_dataset(seed: int = 0, n: int = 400, rate: float = 0.08) -> Dataset:
     )
 
 
-def proto(protocol: str, method: str | None = "smote") -> ProtocolSpec:
-    return ProtocolSpec(
-        protocol=protocol,
-        split=SplitSpec(strategy="stratified", test_fraction=0.25, seed=3),
-        resampler=ResamplerSpec(method=method, seed=5),
-    )
+SPLIT = SplitSpec(strategy="stratified", test_fraction=0.25, seed=3)
+
+
+def run(
+    ds: Dataset,
+    protocol: str,
+    model_cfg: MlpConfig | None = None,
+    method: str | None = "smote",
+    scaler: str = "standardize",
+):
+    resampler = ResamplerSpec(method=method, seed=5)
+    return run_protocol(ds, protocol, SPLIT, resampler, scaler, model_cfg or run_cfg())
 
 
 def test_clean_protocol_never_contaminates() -> None:
-    art = run_protocol(overlap_dataset(), proto("clean"), run_cfg())
+    art = run(overlap_dataset(), "clean")
     rep = art.contamination
     assert rep.n_synthetic_in_test == 0
     assert rep.n_synthetic_parent_in_train == 0
@@ -321,7 +328,7 @@ def test_clean_protocol_never_contaminates() -> None:
 
 
 def test_leaky_protocol_is_flagged() -> None:
-    art = run_protocol(overlap_dataset(), proto("leaky"), run_cfg())
+    art = run(overlap_dataset(), "leaky")
     rep = art.contamination
     assert rep.n_synthetic_in_test > 0
     assert rep.leak_flag is True
@@ -330,7 +337,7 @@ def test_leaky_protocol_is_flagged() -> None:
 def test_leaky_without_resampler_is_not_flagged() -> None:
     # scaling leakage alone moves no rows across the split, so the
     # row-based audit stays quiet
-    art = run_protocol(overlap_dataset(), proto("leaky", method=None), run_cfg())
+    art = run(overlap_dataset(), "leaky", method=None)
     assert art.contamination.leak_flag is False
 
 
@@ -344,10 +351,9 @@ def test_clean_resampler_sees_only_train_rows(monkeypatch) -> None:
 
     monkeypatch.setattr(pipeline, "apply_resampler", spying_resampler)
     ds = overlap_dataset()
-    p = proto("clean")
-    run_protocol(ds, p, run_cfg())
+    run(ds, "clean")
 
-    train_rows, test_rows = split(ds, p.split)
+    train_rows, test_rows = split(ds, SPLIT)
     got = seen["dataset"]
     assert got.n_rows == len(train_rows)
     # origin tags carry the source row ids through take()
@@ -408,9 +414,8 @@ def test_clean_scaler_fits_on_train_rows_only(monkeypatch) -> None:
 
     monkeypatch.setattr(pipeline, "fit_scaler", spying_fit)
     ds = overlap_dataset()
-    p = proto("clean")
-    run_protocol(ds, p, run_cfg())
-    train_rows, _ = split(ds, p.split)
+    run(ds, "clean")
+    train_rows, _ = split(ds, SPLIT)
     np.testing.assert_array_equal(np.sort(seen["rows"]), train_rows)
 
 
@@ -424,15 +429,15 @@ def test_leaky_scaler_fits_on_everything(monkeypatch) -> None:
 
     monkeypatch.setattr(pipeline, "fit_scaler", spying_fit)
     ds = overlap_dataset()
-    run_protocol(ds, proto("leaky"), run_cfg())
+    run(ds, "leaky")
     assert seen["n"] == ds.n_rows
 
 
 def test_leaky_f1_beats_clean_f1_on_overlapping_classes() -> None:
     ds = overlap_dataset(seed=2, n=600, rate=0.05)
     cfg = MlpConfig(n_features=1, hidden_neurons=4, epochs=12, batch_size=64, seed=1)
-    leaky = run_protocol(ds, proto("leaky"), cfg)
-    clean = run_protocol(ds, proto("clean"), cfg)
+    leaky = run(ds, "leaky", cfg)
+    clean = run(ds, "clean", cfg)
     assert leaky.report.scalars.f1 is not None
     assert clean.report.scalars.f1 is not None
     assert leaky.report.scalars.f1 > clean.report.scalars.f1
@@ -440,17 +445,20 @@ def test_leaky_f1_beats_clean_f1_on_overlapping_classes() -> None:
 
 def test_run_protocol_is_deterministic() -> None:
     ds = overlap_dataset(seed=4)
-    a = run_protocol(ds, proto("leaky"), run_cfg())
-    b = run_protocol(ds, proto("leaky"), run_cfg())
+    a = run(ds, "leaky")
+    b = run(ds, "leaky")
     assert a.report.scalars == b.report.scalars
     assert a.history == b.history
     assert a.contamination == b.contamination
 
 
-def test_protocol_spec_validation() -> None:
-    s = SplitSpec(strategy="random")
-    r = ResamplerSpec(method="smote")
-    with pytest.raises(ValueError, match="unknown protocol 'dirty'"):
-        ProtocolSpec(protocol="dirty", split=s, resampler=r)
-    with pytest.raises(ValueError, match="unknown scaler 'robust'"):
-        ProtocolSpec(protocol="clean", split=s, resampler=r, scaler="robust")
+def test_run_protocol_validation() -> None:
+    ds = overlap_dataset()
+    message = "unknown protocol 'dirty'; expected one of ('leaky', 'clean')"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(ds, "dirty")
+    # the clean protocol splits before it fits the scaler; the message is the same
+    message = "unknown scaler 'robust'; expected one of ('standardize', 'minmax', 'none')"
+    for protocol in pipeline.PROTOCOLS:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(ds, protocol, scaler="robust")
