@@ -112,19 +112,15 @@ def _cmd_run(cfg: GridConfig) -> int:
 
 def _cmd_audit(cfg: GridConfig) -> int:
     report = run_grid(replace(cfg, n_values=cfg.n_values[:1], seeds=cfg.seeds[:1]))
-    f1 = {}
     for cell in report.cells:
         if cell.error is not None:
             continue
         con = cell.contamination
         counters = (f"{name}={format_value(getattr(con, name))}" for name in COUNTER_NAMES)
         print(" ".join([f"protocol={cell.protocol}", *counters]))
-        f1[cell.protocol] = cell.metrics.scalars.f1
-    if f1.get("leaky") is not None and f1.get("clean") is not None:
-        print(
-            f"f1 leaky={f1['leaky']:.4f} clean={f1['clean']:.4f} "
-            f"gap={f1['leaky'] - f1['clean']:.4f}"
-        )
+    gap = report.leakage_gap().get(cfg.n_values[0])
+    if gap is not None and gap["gap"] is not None:
+        print(f"f1 leaky={gap['leaky_f1']:.4f} clean={gap['clean_f1']:.4f} gap={gap['gap']:.4f}")
     return _report_failed_cells(report)
 
 
@@ -141,8 +137,7 @@ def _cmd_curves(cfg: GridConfig) -> int:
 
 def _cmd_generate(cfg: GridConfig) -> int:
     if cfg.dataset.synthetic is None:
-        print("error: generate needs a dataset.synthetic config block", file=sys.stderr)
-        return 2
+        raise ValueError("generate needs a dataset.synthetic config block")
     ds = load_grid_dataset(cfg.dataset)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,8 +152,7 @@ def _cmd_report(cfg: GridConfig) -> int:
     try:
         payload = json.loads(source.read_text())
     except FileNotFoundError:
-        print(f"error: no report found at {source}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no report found at {source}") from None
     if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{source} is not a version-{SCHEMA_VERSION} leakbench report")
     try:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,56 +47,34 @@ class RowOrigin:
     with ``delta == 0``.
     """
 
-    kind: np.ndarray
-    parent_a: np.ndarray
-    parent_b: np.ndarray
-    delta: np.ndarray
+    kind: np.ndarray = field(metadata={"dtype": np.uint8})
+    parent_a: np.ndarray = field(metadata={"dtype": np.int64})
+    parent_b: np.ndarray = field(metadata={"dtype": np.int64})
+    delta: np.ndarray = field(metadata={"dtype": np.float64})
 
     def __post_init__(self) -> None:
-        self.kind = np.ascontiguousarray(self.kind, dtype=np.uint8)
-        self.parent_a = np.ascontiguousarray(self.parent_a, dtype=np.int64)
-        self.parent_b = np.ascontiguousarray(self.parent_b, dtype=np.int64)
-        self.delta = np.ascontiguousarray(self.delta, dtype=np.float64)
-        n = self.kind.shape[0]
-        for name in ("parent_a", "parent_b", "delta"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"row origin field {name} has mismatched length")
+        n = len(self.kind)
+        for f in fields(self):
+            value = np.ascontiguousarray(getattr(self, f.name), dtype=f.metadata["dtype"])
+            if value.shape != (n,):
+                raise ValueError(f"row origin field {f.name} has mismatched length")
+            setattr(self, f.name, value)
 
     @classmethod
     def originals(cls, n: int) -> "RowOrigin":
-        return cls(
-            kind=np.zeros(n, dtype=np.uint8),
-            parent_a=np.arange(n, dtype=np.int64),
-            parent_b=np.full(n, -1, dtype=np.int64),
-            delta=np.zeros(n, dtype=np.float64),
-        )
+        return cls(np.zeros(n), np.arange(n), np.full(n, -1), np.zeros(n))
 
     @classmethod
     def synthetic(cls, parent_a, parent_b, delta) -> "RowOrigin":
-        parent_a = np.asarray(parent_a, dtype=np.int64)
-        return cls(
-            kind=np.full(parent_a.shape[0], SYNTHETIC, dtype=np.uint8),
-            parent_a=parent_a,
-            parent_b=np.asarray(parent_b, dtype=np.int64),
-            delta=np.asarray(delta, dtype=np.float64),
-        )
+        return cls(np.full(len(parent_a), SYNTHETIC), parent_a, parent_b, delta)
 
     def take(self, indices: np.ndarray) -> "RowOrigin":
-        return RowOrigin(
-            kind=self.kind[indices],
-            parent_a=self.parent_a[indices],
-            parent_b=self.parent_b[indices],
-            delta=self.delta[indices],
-        )
+        return RowOrigin(*(getattr(self, f.name)[indices] for f in fields(self)))
 
     @classmethod
     def concat(cls, first: "RowOrigin", second: "RowOrigin") -> "RowOrigin":
-        return cls(
-            kind=np.concatenate([first.kind, second.kind]),
-            parent_a=np.concatenate([first.parent_a, second.parent_a]),
-            parent_b=np.concatenate([first.parent_b, second.parent_b]),
-            delta=np.concatenate([first.delta, second.delta]),
-        )
+        pairs = ((getattr(first, f.name), getattr(second, f.name)) for f in fields(cls))
+        return cls(*(np.concatenate(pair) for pair in pairs))
 
     def __len__(self) -> int:
         return int(self.kind.shape[0])
@@ -159,15 +137,12 @@ class Dataset:
             origin=self.origin.take(indices),
         )
 
-    def with_features(self, features: np.ndarray, names: tuple[str, ...]) -> "Dataset":
-        return replace(self, features=features, feature_names=names)
-
     def select_columns(self, names: list[str] | tuple[str, ...]) -> "Dataset":
         missing = [c for c in names if c not in self.feature_names]
         if missing:
             raise ValueError(f"unknown feature columns: {', '.join(missing)}")
         cols = [self.feature_names.index(c) for c in names]
-        return self.with_features(self.features[:, cols], tuple(names))
+        return replace(self, features=self.features[:, cols], feature_names=tuple(names))
 
 
 @dataclass
@@ -243,6 +218,9 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
             raise ValueError(
                 f"{path}: header does not match the expected transactions schema"
             )
+        repeated = next((h for h in header if header.count(h) > 1), None)
+        if repeated is not None:
+            raise ValueError(f"{path}: header repeats column {repeated!r}")
         if LABEL_COLUMN not in header:
             raise ValueError(f"{path}: no '{LABEL_COLUMN}' column in header")
         n_cols = len(header)
@@ -333,4 +311,4 @@ def expand_features(ds: Dataset, degree: int) -> Dataset:
     names = ds.feature_names + tuple(
         f"{ds.feature_names[i]}*{ds.feature_names[j]}" for i, j in zip(ii, jj)
     )
-    return ds.with_features(np.hstack([ds.features, products]), names)
+    return replace(ds, features=np.hstack([ds.features, products]), feature_names=names)

@@ -205,20 +205,12 @@ class CellResult:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "key": self.key,
-            "n_hidden": self.n_hidden,
-            "protocol": self.protocol,
-            "seed_index": self.seed_index,
-            "seed": self.seed,
-            "notes": list(self.notes),
-            "wall_time_s": self.wall_time_s,
-            "error": self.error,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         measured = self.metrics is not None
         out["confusion"] = asdict(self.metrics.confusion) if measured else None
         out["metrics"] = metric_dict(self.metrics) if measured else None
         out["contamination"] = None if self.contamination is None else asdict(self.contamination)
+        out["notes"] = list(self.notes)
         out["history"] = list(self.history)
         return out
 

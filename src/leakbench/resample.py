@@ -191,10 +191,6 @@ def _drop_rows(ds: Dataset, remove: np.ndarray, n_synthetic: int = 0) -> Resampl
     return ResampleResult(ds.take(keep), n_synthetic=n_synthetic, removed_indices=remove)
 
 
-def _passthrough(ds: Dataset, notes: tuple[str, ...] = ()) -> ResampleResult:
-    return ResampleResult(dataset=ds, notes=notes)
-
-
 def _interpolate_from(
     ds: Dataset,
     label: int,
@@ -233,7 +229,7 @@ def smote(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     _require_minority_above(len(min_idx), spec.k_neighbors, "smote", "k_neighbors")
     n_new = _n_to_generate(len(min_idx), len(maj_idx), spec.target_ratio)
     if n_new == 0:
-        return _passthrough(ds)
+        return ResampleResult(ds)
     x_min = ds.features[min_idx]
     nbr, _ = _kernels.knn(x_min, x_min, spec.k_neighbors, self_idx=np.arange(len(min_idx)))
     rng = np.random.default_rng(spec.seed)
@@ -248,7 +244,7 @@ def random_oversample(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
         raise ValueError("random_oversample requires at least one minority row")
     n_new = _n_to_generate(len(min_idx), len(maj_idx), spec.target_ratio)
     if n_new == 0:
-        return _passthrough(ds)
+        return ResampleResult(ds)
     rng = np.random.default_rng(spec.seed)
     picks = min_idx[rng.integers(0, len(min_idx), n_new)]
     out = _append_synthetic(ds, min_label, picks, picks, np.zeros(n_new), ds.features[picks])
@@ -268,7 +264,7 @@ def adasyn(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     _require_minority_above(len(min_idx), spec.k_neighbors, "adasyn", "k_neighbors")
     budget = _n_to_generate(len(min_idx), len(maj_idx), spec.target_ratio)
     if budget == 0:
-        return _passthrough(ds)
+        return ResampleResult(ds)
     x_min = ds.features[min_idx]
     nbr_all, _ = _kernels.knn(x_min, ds.features, spec.k_neighbors, self_idx=min_idx)
     hardness = (ds.labels[nbr_all] != min_label).sum(axis=1) / spec.k_neighbors
@@ -282,7 +278,7 @@ def adasyn(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
         )
     alloc = np.rint(hardness / total * budget).astype(np.int64)
     if alloc.sum() == 0:
-        return _passthrough(
+        return ResampleResult(
             ds, notes=("adasyn: allocation rounded to zero rows; nothing generated",)
         )
     nbr_min, _ = _kernels.knn(x_min, x_min, spec.k_neighbors, self_idx=np.arange(len(min_idx)))
@@ -305,7 +301,7 @@ def borderline_smote(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     _require_minority_above(len(min_idx), floor, "borderline_smote", "max(k, m)")
     n_new = _n_to_generate(len(min_idx), len(maj_idx), spec.target_ratio)
     if n_new == 0:
-        return _passthrough(ds)
+        return ResampleResult(ds)
     x_min = ds.features[min_idx]
     nbr_all, _ = _kernels.knn(x_min, ds.features, spec.m_neighbors, self_idx=min_idx)
     maj_count = (ds.labels[nbr_all] != min_label).sum(axis=1)
@@ -313,7 +309,7 @@ def borderline_smote(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
         (maj_count * 2 >= spec.m_neighbors) & (maj_count < spec.m_neighbors)
     )[0]
     if len(danger) == 0:
-        return _passthrough(
+        return ResampleResult(
             ds, notes=("borderline_smote: no borderline minority rows; input unchanged",)
         )
     nbr_min, _ = _kernels.knn(
@@ -509,5 +505,5 @@ QUADRATIC_METHODS = frozenset(
 def apply_resampler(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     """Dispatch on ``spec.method``; a None method passes the data through."""
     if spec.method is None:
-        return _passthrough(ds)
+        return ResampleResult(ds)
     return METHODS[spec.method](ds, spec)

@@ -463,6 +463,13 @@ def test_audit_and_curves_run_the_grid_cells_they_name(tmp_path, capsys):
         con = cells[f"N2_{protocol}_s0"]["contamination"]
         counters = (f"{name}={format_value(con[name])}" for name in COUNTER_NAMES)
         assert " ".join([f"protocol={protocol}", *counters]) in audit_lines
+    # the f1 line is the two cells' f1 and their difference, or absent when either is null
+    leaky, clean = (cells[f"N2_{p}_s0"]["metrics"]["f1"] for p in ("leaky", "clean"))
+    f1_lines = [line for line in audit_lines if line.startswith("f1 ")]
+    if leaky is None or clean is None:
+        assert f1_lines == []
+    else:
+        assert f1_lines == [f"f1 leaky={leaky:.4f} clean={clean:.4f} gap={leaky - clean:.4f}"]
     name = "N2_leaky_s0_roc.csv"
     curve = (tmp_path / "out" / "curves" / name).read_bytes()
     assert curve == (grid_out / "curves" / name).read_bytes()

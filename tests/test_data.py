@@ -77,6 +77,53 @@ def test_row_origin_concat_and_synthetic() -> None:
     np.testing.assert_array_equal(both.delta, [0.0, 0.0, 0.5, 0.25])
 
 
+ORIGIN_DTYPES = {"kind": np.uint8, "parent_a": np.int64, "parent_b": np.int64, "delta": np.float64}
+
+
+def assert_origin_arrays(origin: RowOrigin, n: int) -> None:
+    for name, dtype in ORIGIN_DTYPES.items():
+        value = getattr(origin, name)
+        assert value.dtype == dtype, name
+        assert value.shape == (n,) and value.flags.c_contiguous, name
+
+
+def test_row_origin_fields_keep_dtype_and_length() -> None:
+    from_lists = RowOrigin([0, 1, 1], [4, 5, 6], [-1, 2, 3], [0, 0.5, 0.25])
+    from_arrays = RowOrigin(
+        np.array([0, 1, 1], dtype=np.int64),
+        np.array([4, 5, 6], dtype=np.int32),
+        np.array([-1.0, 2.0, 3.0]),
+        np.array([0.0, 0.5, 0.25], dtype=np.float32),
+    )
+    strided = RowOrigin(
+        kind=np.zeros(6, dtype=np.uint8)[::2],
+        parent_a=np.arange(6)[::2],
+        parent_b=np.full(6, -1)[::2],
+        delta=np.zeros(6)[::2],
+    )
+    for origin in (from_lists, from_arrays, strided):
+        assert_origin_arrays(origin, 3)
+    for name in ORIGIN_DTYPES:
+        np.testing.assert_array_equal(getattr(from_lists, name), getattr(from_arrays, name))
+    assert_origin_arrays(RowOrigin.originals(4), 4)
+    synthetic = RowOrigin.synthetic([1, 2], np.array([3, 4], dtype=np.int32), [0.5, 1])
+    assert_origin_arrays(synthetic, 2)
+    np.testing.assert_array_equal(synthetic.kind, [SYNTHETIC, SYNTHETIC])
+
+    idx = np.array([2, 0, 2])
+    taken = from_lists.take(idx)
+    assert_origin_arrays(taken, 3)
+    both = RowOrigin.concat(from_lists, synthetic)
+    assert_origin_arrays(both, 5)
+    for name in ORIGIN_DTYPES:
+        np.testing.assert_array_equal(getattr(taken, name), getattr(from_lists, name)[idx])
+        want = np.concatenate([getattr(from_lists, name), getattr(synthetic, name)])
+        np.testing.assert_array_equal(getattr(both, name), want)
+
+    with pytest.raises(ValueError, match="row origin field delta has mismatched length"):
+        RowOrigin([0, 0], [0, 1], [-1, -1], [0.0])
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 # ---------------------------------------------------------------------------
@@ -177,6 +224,13 @@ def test_load_csv_errors(tmp_path) -> None:
     no_label.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="no 'Class' column"):
         load_csv(str(no_label))
+
+    # a repeated name would turn the label or the timestamp into a feature
+    for header, name in (("Time,V1,Class,Class", "Class"), ("Time,V1,Time,Class", "Time")):
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text(f"{header}\n1,2,3,0\n")
+        with pytest.raises(ValueError, match=f"header repeats column '{name}'"):
+            load_csv(str(repeated))
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("a,Class\n1,0\n1,0,9\n")
