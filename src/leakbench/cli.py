@@ -49,11 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="override the config's output directory")
         cmd.add_argument(
             "--formats",
+            type=lambda text: tuple(f.strip() for f in text.split(",") if f.strip()),
             help=f"comma-separated subset of {','.join(FORMATS)} overriding the config",
         )
         cmd.add_argument(
             "--allow-quadratic",
-            action="store_true",
+            action="store_const",
+            const=True,
             help="permit all-pairs resamplers on datasets past the row limit",
         )
     return parser
@@ -72,16 +74,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         doc = load_config_file(args.config)
-        formats = None
-        if args.formats is not None:
-            formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-        cfg = build_grid_config(
-            doc,
-            seed_override=args.seed,
-            out_override=args.out,
-            formats_override=formats,
-            allow_quadratic_override=args.allow_quadratic,
-        )
+        overrides = {
+            "seeds": None if args.seed is None else (args.seed,),
+            "output_dir": args.out,
+            "formats": args.formats,
+            "allow_quadratic": args.allow_quadratic,
+        }
+        cfg = build_grid_config(doc, **{k: v for k, v in overrides.items() if v is not None})
         return handler(cfg)
     except (ConfigError, ValueError, OSError) as exc:
         # bad config, bad data or unreadable/unwritable files; failures

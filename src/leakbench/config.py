@@ -40,23 +40,8 @@ def load_config_file(path: str) -> dict:
     return doc
 
 
-def build_grid_config(
-    doc: dict,
-    seed_override: int | None = None,
-    out_override: str | None = None,
-    formats_override: tuple[str, ...] | None = None,
-    allow_quadratic_override: bool | None = None,
-) -> GridConfig:
-    """Validate a config document and apply CLI overrides."""
-    overrides: dict = {}
-    if seed_override is not None:
-        overrides["seeds"] = (seed_override,)
-    if out_override is not None:
-        overrides["output_dir"] = out_override
-    if formats_override is not None:
-        overrides["formats"] = formats_override
-    if allow_quadratic_override:
-        overrides["allow_quadratic"] = True
+def build_grid_config(doc: dict, **overrides) -> GridConfig:
+    """Validate a config document; ``overrides`` replace GridConfig fields by name."""
     return _build(GridConfig, doc, "", **overrides)
 
 

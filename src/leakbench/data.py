@@ -207,7 +207,8 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
     axis and every other column is a feature.  With ``expect_schema``
     the header must match the transactions schema exactly.
     """
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet tools put before the first header name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -279,21 +280,15 @@ def _is_number(cell: str) -> bool:
 
 def save_csv(ds: Dataset, path: str) -> None:
     """Write a dataset back to CSV; values round-trip through repr."""
-    header: list[str] = []
+    names = ds.feature_names
+    table = ds.features
     if ds.time is not None:
-        header.append(TIME_COLUMN)
-    header.extend(ds.feature_names)
-    header.append(LABEL_COLUMN)
-    with open(path, "w", newline="") as fh:
+        names = (TIME_COLUMN,) + names
+        table = np.column_stack([ds.time, table])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n_rows):
-            row: list[str] = []
-            if ds.time is not None:
-                row.append(repr(float(ds.time[i])))
-            row.extend(repr(float(v)) for v in ds.features[i])
-            row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
+        writer.writerow(names + (LABEL_COLUMN,))
+        writer.writerows(row + [label] for row, label in zip(table.tolist(), ds.labels.tolist()))
 
 
 def expand_features(ds: Dataset, degree: int) -> Dataset:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import ORIGINAL, SYNTHETIC, Dataset
 from .metrics import MetricReport, evaluate
-from .model import MlpConfig, MlpModel, forward, init_mlp, train
+from .model import MlpConfig, forward, init_mlp, train
 from .resample import ResamplerSpec, apply_resampler
 from .seeding import CELL_SEED
 
@@ -84,7 +84,6 @@ class ContaminationReport:
 
 @dataclass
 class RunArtifacts:
-    model: MlpModel
     report: MetricReport
     contamination: ContaminationReport
     history: list[float]
@@ -192,15 +191,13 @@ def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
 def _row_keys(ds: Dataset) -> list[bytes]:
     """One hashable key per row: features rounded to 12 significant digits, plus the label."""
     rounded = _round_significant(ds.features, 12)
-    keys = []
-    for i in range(ds.n_rows):
-        keys.append(rounded[i].tobytes() + bytes([ds.labels[i]]))
-    return keys
+    return [row.tobytes() + bytes([label]) for row, label in zip(rounded, ds.labels)]
 
 
 def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
     out = np.array(x, dtype=np.float64)
-    nz = (out != 0) & np.isfinite(out)
+    # below 1e-290 the scale factor overflows; such values keep their exact bits
+    nz = (np.abs(out) >= 1e-290) & np.isfinite(out)
     mag = np.floor(np.log10(np.abs(out[nz])))
     factor = 10.0 ** (digits - 1 - mag)
     out[nz] = np.round(out[nz] * factor) / factor
@@ -220,15 +217,12 @@ def contamination_audit(train: Dataset, test: Dataset) -> ContaminationReport:
     n_synth = int(synth_mask.sum())
 
     train_sources = train.origin.parent_a[train.origin.kind == ORIGINAL]
-    parent_in_train = 0
-    if n_synth > 0 and train_sources.size > 0:
-        pa = test.origin.parent_a[synth_mask]
-        pb = test.origin.parent_b[synth_mask]
-        hit = np.isin(pa, train_sources) | np.isin(pb, train_sources)
-        parent_in_train = int(hit.sum())
+    pa = test.origin.parent_a[synth_mask]
+    pb = test.origin.parent_b[synth_mask]
+    parent_in_train = int((np.isin(pa, train_sources) | np.isin(pb, train_sources)).sum())
 
     train_keys = set(_row_keys(train))
-    duplicates = sum(1 for key in _row_keys(test) if key in train_keys)
+    duplicates = sum(key in train_keys for key in _row_keys(test))
 
     return ContaminationReport(
         n_test_rows=test.n_rows,
@@ -277,7 +271,6 @@ def run_protocol(
     scores = forward(model, test_ds.features)
     report = evaluate(test_ds.labels, scores, cfg.threshold)
     return RunArtifacts(
-        model=model,
         report=report,
         contamination=contamination,
         history=history,

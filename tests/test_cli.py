@@ -110,6 +110,16 @@ def test_build_grid_config_nested_errors_name_their_block(tmp_path):
     doc["protocols"] = ["leaky", "dirty"]
     with pytest.raises(ConfigError, match="unknown protocol 'dirty'"):
         build_grid_config(doc)
+    for key, value, message in (
+        ("split", 5, "split must be an object"),
+        ("model", [], "model must be an object"),
+        ("dataset", 3, "dataset must be an object"),
+        ("dataset", {"synthetic": 3}, "dataset.synthetic must be an object"),
+    ):
+        doc = base_doc(str(tmp_path))
+        doc[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_grid_config(doc)
 
 
 def test_build_grid_config_list_validation(tmp_path):
@@ -152,10 +162,10 @@ def test_build_grid_config_overrides(tmp_path):
     doc = base_doc(str(tmp_path))
     cfg = build_grid_config(
         doc,
-        seed_override=99,
-        out_override="/tmp/elsewhere",
-        formats_override=("json",),
-        allow_quadratic_override=True,
+        seeds=(99,),
+        output_dir="/tmp/elsewhere",
+        formats=("json",),
+        allow_quadratic=True,
     )
     assert cfg.seeds == (99,)
     assert cfg.output_dir == "/tmp/elsewhere"
@@ -385,6 +395,17 @@ def test_run_refuses_quadratic_method_on_large_data(tmp_path, capsys, monkeypatc
     assert main(["run", "--config", cfg]) == 2
     assert "pass --allow-quadratic to run it anyway" in capsys.readouterr().err
     assert main(["run", "--config", cfg, "--allow-quadratic"]) == 0
+
+
+def test_flags_left_out_keep_the_config_values(tmp_path, capsys):
+    # no --allow-quadratic on the command line must not turn the config's true into false
+    cfg = write_config(tmp_path, allow_quadratic=True)
+    assert main(["run", "--config", cfg, "--seed", "3", "--formats", "json"]) == 0
+    capsys.readouterr()
+    echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    assert echo["allow_quadratic"] is True
+    assert echo["seeds"] == [3]
+    assert echo["formats"] == ["json"]
 
 
 def test_run_on_csv_dataset_via_environment(tmp_path, capsys, monkeypatch):

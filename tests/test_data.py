@@ -41,6 +41,9 @@ def test_dataset_rejects_shape_mismatches() -> None:
         Dataset(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), ("a", "b"), time=np.zeros(4))
     with pytest.raises(ValueError, match="2-d"):
         Dataset(np.zeros(3), np.zeros(3, dtype=np.int64), ("a",))
+    short = RowOrigin.originals(2)
+    with pytest.raises(ValueError, match="row origin length"):
+        Dataset(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), ("a", "b"), origin=short)
 
 
 def test_dataset_take_carries_everything() -> None:
@@ -189,6 +192,8 @@ def test_synth_config_validation() -> None:
         SynthConfig(n_samples=0, positive_rate=0.1)
     with pytest.raises(ValueError, match="class_separation"):
         SynthConfig(n_samples=100, positive_rate=0.1, class_separation=-1.0)
+    with pytest.raises(ValueError, match="n_features must be positive"):
+        SynthConfig(n_samples=100, positive_rate=0.1, n_features=0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +247,12 @@ def test_load_csv_errors(tmp_path) -> None:
     with pytest.raises(ValueError, match="line 3: column 'a' has non-numeric value 'foo'"):
         load_csv(str(non_numeric))
 
+    # the bad cell follows a numeric one on its line and still names its own column
+    late = tmp_path / "late.csv"
+    late.write_text("a,b,Class\n1.0,abc,0\n")
+    with pytest.raises(ValueError, match="line 2: column 'b' has non-numeric value 'abc'"):
+        load_csv(str(late))
+
     for cell in ("nan", "inf", "-inf"):
         non_finite = tmp_path / "non_finite.csv"
         non_finite.write_text(f"a,b,Class\n1,2,0\n3,{cell},1\n")
@@ -273,6 +284,24 @@ def test_load_csv_schema_check(tmp_path) -> None:
     bad.write_text("a,Class\n1,0\n")
     with pytest.raises(ValueError, match="does not match the expected transactions schema"):
         load_csv(str(bad), expect_schema=True)
+
+
+def test_load_csv_skips_a_byte_order_mark(tmp_path) -> None:
+    # spreadsheet tools often start a UTF-8 file with a BOM; it must not rename the first column
+    path = tmp_path / "bom.csv"
+    path.write_text("Time,V1,Class\n10.0,0.5,0\n20.0,-1.5,1\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfTime,")
+    ds = load_csv(str(path))
+    assert ds.feature_names == ("V1",)
+    np.testing.assert_array_equal(ds.time, [10.0, 20.0])
+    np.testing.assert_array_equal(ds.features, [[0.5], [-1.5]])
+
+    schema = tmp_path / "schema_bom.csv"
+    row = ",".join(["1.0"] * 30 + ["0"])
+    schema.write_text(",".join(TRANSACTION_SCHEMA) + "\n" + row + "\n", encoding="utf-8-sig")
+    ds = load_csv(str(schema), expect_schema=True)
+    assert ds.n_features == 29
+    assert ds.time is not None
 
 
 def test_csv_round_trip_is_exact(tmp_path) -> None:

@@ -33,6 +33,7 @@ from leakbench.experiment import (
 )
 from leakbench.pipeline import SplitSpec
 from leakbench.resample import ResamplerSpec
+from leakbench.seeding import derive_seed
 
 
 def tiny_grid(**overrides) -> GridConfig:
@@ -111,6 +112,13 @@ def test_reference_table_shape():
 def test_cell_key_format():
     assert cell_key(4, "leaky", 2) == "N4_leaky_s2"
     assert cell_key(0, "clean", 0) == "N0_clean_s0"
+
+
+def test_derive_seed_takes_only_ints_and_strings():
+    assert derive_seed(7, "split", 2) == derive_seed(7, "split", 2)
+    for bad in (1.5, True, None):
+        with pytest.raises(TypeError, match="seed parts must be int or str"):
+            derive_seed(7, bad)
 
 
 def test_grid_runs_every_cell_in_order():
@@ -302,6 +310,17 @@ def test_compare_to_reference_missing_widths():
 def test_compare_to_reference_needs_leaky_cells():
     report = run_grid(tiny_grid(protocols=("clean",)))
     with pytest.raises(ValueError, match="needs leaky-protocol cells"):
+        compare_to_reference(report, {0: dict.fromkeys(REFERENCE_METRICS, 0.9)})
+    # 6 positives cannot clear k_neighbors=10, so every cell fails and no median exists
+    failing = tiny_grid(
+        dataset=DatasetSpec(
+            synthetic=SynthConfig(n_samples=120, positive_rate=0.05, n_features=3, seed=2)
+        ),
+        resampler=ResamplerSpec(method="smote", k_neighbors=10),
+    )
+    report = run_grid(failing)
+    assert len(report.failed_cells) == len(report.cells)
+    with pytest.raises(ValueError, match="no defined accuracy median for width 0"):
         compare_to_reference(report, {0: dict.fromkeys(REFERENCE_METRICS, 0.9)})
 
 

@@ -234,6 +234,8 @@ def test_knn_rejects_bad_shapes() -> None:
         knn(np.zeros(3), np.zeros((3, 1)), 1)
     with pytest.raises(ValueError, match="same number of columns"):
         knn(np.zeros((2, 2)), np.zeros((2, 3)), 1)
+    with pytest.raises(ValueError, match="same number of columns"):
+        pairwise_sq_dists(np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="one entry per query row"):
         knn(np.zeros((2, 2)), np.zeros((4, 2)), 1, self_idx=np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError, match="at least 1"):

@@ -48,6 +48,14 @@ def test_config_validation() -> None:
         MlpConfig(n_features=3, hidden_neurons=0, beta1=1.0)
     with pytest.raises(ValueError, match="epochs"):
         MlpConfig(n_features=3, hidden_neurons=0, epochs=0)
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        MlpConfig(n_features=3, hidden_neurons=0, batch_size=0)
+    with pytest.raises(ValueError, match="learning_rate must be non-negative"):
+        MlpConfig(n_features=3, hidden_neurons=0, learning_rate=-0.1)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        MlpConfig(n_features=3, hidden_neurons=0, epsilon=0.0)
+    with pytest.raises(ValueError, match="n_features must be positive"):
+        MlpConfig(n_features=0, hidden_neurons=0)
 
 
 def test_parameter_counts() -> None:

@@ -130,6 +130,20 @@ def test_temporal_requires_time_column() -> None:
         split(ds, SplitSpec(strategy="temporal"))
 
 
+def test_split_needs_two_rows() -> None:
+    ds = make_dataset(np.zeros((1, 1)), [1])
+    for strategy in ("random", "stratified"):
+        with pytest.raises(ValueError, match="fewer than 2 rows"):
+            split(ds, SplitSpec(strategy=strategy))
+
+
+def test_stratified_split_without_positives() -> None:
+    ds = make_dataset(np.arange(10.0), np.zeros(10, dtype=np.int64))
+    train, test = split(ds, SplitSpec(strategy="stratified", test_fraction=0.2, seed=4))
+    assert len(train) == 8 and len(test) == 2
+    np.testing.assert_array_equal(np.sort(np.concatenate([train, test])), np.arange(10))
+
+
 def test_stratified_empty_side_error() -> None:
     ds = make_dataset(np.zeros((2, 1)), [1, 0])
     with pytest.raises(ValueError, match="stratified split produced an empty side"):
@@ -249,6 +263,17 @@ def test_audit_treats_negative_zero_as_zero() -> None:
     test = make_dataset(np.array([[-0.0, 1.0]]), [0])
     rep = contamination_audit(train, test)
     assert rep.n_cross_split_duplicates == 1
+
+
+def test_audit_compares_tiny_magnitudes_exactly() -> None:
+    # the 12-digit scale factor overflows below about 1e-297; such values keep their bits
+    train = make_dataset(np.array([[1e-300]]), [0])
+    with np.errstate(all="raise"):
+        rep = contamination_audit(train, make_dataset(np.array([[3e-300]]), [0]))
+        assert rep.n_cross_split_duplicates == 0
+        assert rep.leak_flag is False
+        rep = contamination_audit(train, make_dataset(np.array([[1e-300]]), [0]))
+        assert rep.n_cross_split_duplicates == 1
 
 
 def test_leak_flag_equivalence_many_instances() -> None:

@@ -56,6 +56,8 @@ def test_spec_validation() -> None:
         ResamplerSpec(method="smite")
     with pytest.raises(ValueError, match="k_neighbors"):
         ResamplerSpec(method="smote", k_neighbors=0)
+    with pytest.raises(ValueError, match="m_neighbors must be at least 1"):
+        ResamplerSpec(method="borderline_smote", m_neighbors=0)
     with pytest.raises(ValueError, match="target_ratio"):
         ResamplerSpec(method="smote", target_ratio=0.0)
     with pytest.raises(ValueError, match="target_ratio"):
@@ -168,6 +170,11 @@ def test_smote_already_balanced_is_passthrough(small_imbalanced) -> None:
     res = smote(balanced, spec("smote", k_neighbors=3))
     assert res.n_synthetic == 0
     assert res.dataset.n_rows == 12
+    # the other oversamplers stop at the same target_ratio check
+    for method in ("random_over", "adasyn", "borderline_smote"):
+        res = METHODS[method](balanced, spec(method, k_neighbors=3, m_neighbors=3))
+        assert res.dataset is balanced
+        assert res.n_synthetic == 0 and res.n_removed == 0
 
 
 def test_smote_partial_target_ratio(small_imbalanced) -> None:
@@ -180,6 +187,16 @@ def test_smote_partial_target_ratio(small_imbalanced) -> None:
 # ---------------------------------------------------------------------------
 # random oversampling
 # ---------------------------------------------------------------------------
+
+
+def test_one_class_inputs_are_rejected() -> None:
+    one_class = make_dataset([[0.0], [1.0], [2.0]], [0, 0, 0])
+    with pytest.raises(ValueError, match="random_oversample requires at least one minority row"):
+        random_oversample(one_class, spec("random_over"))
+    with pytest.raises(ValueError, match="cluster_centroids needs a positive number of centroids"):
+        cluster_centroids(one_class, spec("cluster_centroids"))
+    with pytest.raises(ValueError, match="tomek_links requires at least two rows"):
+        tomek_links(make_dataset([[0.0]], [1]), spec("tomek_links"))
 
 
 def test_random_over_duplicates_minority_rows(small_imbalanced) -> None:
@@ -430,6 +447,15 @@ def test_cluster_centroids_k_equals_majority_count() -> None:
     res = cluster_centroids(ds, spec("cluster_centroids", target_ratio=0.5, seed=3))
     mask = res.dataset.origin.kind == SYNTHETIC
     assert sorted(res.dataset.features[mask][:, 0].tolist()) == [7.0, 8.0, 9.0, 10.0]
+
+
+def test_cluster_centroids_identical_majority_rows() -> None:
+    # k-means++ finds every distance 0 after the first pick and takes the next unchosen row
+    ds = make_dataset([[0.0], [1.0], [5.0], [5.0], [5.0], [5.0]], [1, 1, 0, 0, 0, 0])
+    res = cluster_centroids(ds, spec("cluster_centroids", seed=1))
+    assert res.n_synthetic == 2 and res.n_removed == 4
+    mask = res.dataset.origin.kind == SYNTHETIC
+    np.testing.assert_array_equal(res.dataset.features[mask], [[5.0], [5.0]])
 
 
 def test_cluster_centroids_infeasible_k() -> None:
