@@ -152,6 +152,8 @@ def _cmd_report(cfg: GridConfig) -> int:
         payload = json.loads(source.read_text())
     except FileNotFoundError:
         raise ValueError(f"no report found at {source}") from None
+    except ValueError:  # not JSON text; refused below like any other non-report
+        payload = None
     if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{source} is not a version-{SCHEMA_VERSION} leakbench report")
     try:

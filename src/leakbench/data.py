@@ -167,6 +167,8 @@ class SynthConfig:
             raise ValueError("n_features must be positive")
         if self.class_separation <= 0:
             raise ValueError("class_separation must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
@@ -209,9 +211,9 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
     """
     # utf-8-sig drops the byte-order mark spreadsheet tools put before the first header name
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        records = _records(csv.reader(fh), path)
         try:
-            header = next(reader)
+            header = next(records)
         except StopIteration:
             raise ValueError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
@@ -224,12 +226,14 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
             raise ValueError(f"{path}: header repeats column {repeated!r}")
         if LABEL_COLUMN not in header:
             raise ValueError(f"{path}: no '{LABEL_COLUMN}' column in header")
+        if not set(header) - {LABEL_COLUMN, TIME_COLUMN}:
+            raise ValueError(f"{path}: no feature columns in header")
         n_cols = len(header)
         label_col = header.index(LABEL_COLUMN)
         time_col = header.index(TIME_COLUMN) if TIME_COLUMN in header else -1
 
         rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(records, start=2):
             if len(row) != n_cols:
                 raise ValueError(
                     f"{path}: line {line_no}: expected {n_cols} columns, got {len(row)}"
@@ -268,6 +272,14 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
         feature_names=tuple(header[i] for i in feature_cols),
         time=table[:, time_col] if time_col >= 0 else None,
     )
+
+
+def _records(reader, path: str):
+    """The reader's records; an error of the csv module becomes a ValueError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _is_number(cell: str) -> bool:

@@ -8,11 +8,10 @@ training is deterministic given the config seed.
 ``train`` keeps every parameter in one flat float64 buffer of
 ``n_parameters`` elements, laid out as ``w2, b2, w1, b1``; the layers are
 views into it.  The gradient and both Adam moments share that layout, so
-a step is one backward pass writing into the gradient buffer and a
-fixed handful of in-place ufunc calls over the whole buffer.  Each
-epoch's shuffled rows are gathered once and batches are slices of them.
-The arithmetic and its order are those of a per-array Adam, so the
-weights are bitwise the same.
+a step is one backward pass writing into the gradient buffer and one
+Adam update over the whole flat buffer.  Each epoch's shuffled rows are
+gathered once and batches are slices of them.  The arithmetic and its
+order are those of a per-array Adam, so the weights are bitwise the same.
 """
 
 from __future__ import annotations
@@ -105,17 +104,14 @@ def init_mlp(cfg: MlpConfig) -> MlpModel:
     """Fresh weights: He-uniform first layer, Glorot-uniform output, zero biases."""
     rng = derive_rng(cfg.seed, "init")
     d, h = cfg.n_features, cfg.hidden_neurons
+    w1 = b1 = None
     if h > 0:
         bound1 = math.sqrt(6.0 / d)
         w1 = rng.uniform(-bound1, bound1, (h, d))
         b1 = np.zeros(h)
-        bound2 = math.sqrt(6.0 / (h + 1))
-        w2 = rng.uniform(-bound2, bound2, h)
-    else:
-        w1 = None
-        b1 = None
-        bound2 = math.sqrt(6.0 / (d + 1))
-        w2 = rng.uniform(-bound2, bound2, d)
+    k = h or d  # the output layer reads the hidden units, or the raw features
+    bound2 = math.sqrt(6.0 / (k + 1))
+    w2 = rng.uniform(-bound2, bound2, k)
     return MlpModel(config=cfg, w1=w1, b1=b1, w2=w2, b2=0.0)
 
 
@@ -143,10 +139,11 @@ def _views(buf: np.ndarray, cfg: MlpConfig) -> tuple:
 
 
 def _forward(x: np.ndarray, w2, b2, w1, b1):
-    if w1 is None:
-        return None, None, _sigmoid(x @ w2 + b2)
-    z1 = x @ w1.T + b1
-    a1 = np.maximum(z1, 0.0)
+    """``(z1, a1, p)``; without a hidden layer ``z1`` is None and ``a1`` is ``x``."""
+    z1, a1 = None, x
+    if w1 is not None:
+        z1 = x @ w1.T + b1
+        a1 = np.maximum(z1, 0.0)
     return z1, a1, _sigmoid(a1 @ w2 + b2)
 
 
@@ -161,10 +158,8 @@ def _backprop(x: np.ndarray, y: np.ndarray, params: tuple, grad: tuple) -> np.nd
     z1, a1, p = _forward(x, w2, b2, w1, b1)
     dz2 = (p - y) / x.shape[0]
     g_b2[0] = dz2.sum()
-    if w1 is None:
-        np.matmul(x.T, dz2, out=g_w2)
-    else:
-        np.matmul(a1.T, dz2, out=g_w2)
+    np.matmul(a1.T, dz2, out=g_w2)
+    if w1 is not None:
         dz1 = dz2[:, None] * w2
         dz1 *= z1 > 0
         np.matmul(dz1.T, x, out=g_w1)
@@ -199,27 +194,19 @@ def loss_and_grad(model: MlpModel, x: np.ndarray, y: np.ndarray):
     return bce_loss(p, y), grads
 
 
-def _adam_step(cfg: MlpConfig, t: int, params, grad, m, v, s1, s2) -> None:
+def _adam_step(cfg: MlpConfig, t: int, params, grad, m, v) -> None:
     """One Adam step (Kingma & Ba, 2015) over flat buffers, in place.
 
-    The operations and their order are those of the per-array update
-    ``p - lr * m_hat / (sqrt(v_hat) + eps)``, so every element is bitwise
-    the same; ``s1`` and ``s2`` are scratch.
+    The operations and their order are those of the per-array update, so
+    every element is bitwise the same.
     """
-    np.multiply(m, cfg.beta1, out=m)
-    np.multiply(grad, 1 - cfg.beta1, out=s1)
-    np.add(m, s1, out=m)  # b1*m + (1-b1)*g
-    np.multiply(v, cfg.beta2, out=v)
-    np.multiply(grad, grad, out=s1)
-    np.multiply(s1, 1 - cfg.beta2, out=s1)
-    np.add(v, s1, out=v)  # b2*v + (1-b2)*(g*g)
-    np.divide(m, 1 - cfg.beta1**t, out=s1)  # m_hat
-    np.multiply(s1, cfg.learning_rate, out=s1)
-    np.divide(v, 1 - cfg.beta2**t, out=s2)  # v_hat
-    np.sqrt(s2, out=s2)
-    np.add(s2, cfg.epsilon, out=s2)
-    np.divide(s1, s2, out=s1)
-    np.subtract(params, s1, out=params)
+    m *= cfg.beta1
+    m += (1 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1 - cfg.beta2) * (grad * grad)
+    m_hat = m / (1 - cfg.beta1**t)
+    v_hat = v / (1 - cfg.beta2**t)
+    params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
 def train(
@@ -260,7 +247,6 @@ def train(
     grad = np.empty_like(params)
     grad_layers = _views(grad, cfg)
     m, v = np.zeros_like(params), np.zeros_like(params)
-    s1, s2 = np.empty_like(params), np.empty_like(params)
     # each epoch's shuffled rows, gathered once; batches are slices.  With
     # out=, mode="raise" would first copy into a temporary of x's size
     xs, ys = np.empty_like(x), np.empty_like(y)
@@ -283,7 +269,7 @@ def train(
                     f"batch {batch_no + 1}"
                 )
             t += 1
-            _adam_step(cfg, t, params, grad, m, v, s1, s2)
+            _adam_step(cfg, t, params, grad, m, v)
         history.append(bce_loss(_forward(x, *layers)[2], y))
     return MlpModel(config=cfg, w1=w1, b1=b1, w2=w2, b2=float(b2[0])), history
 

@@ -163,13 +163,12 @@ def fit_scaler(ds: Dataset, rows: np.ndarray, method: str) -> ScalerParams:
         raise ValueError("scaler fit requires at least one row")
     fitted_on = "full_dataset" if rows.size == ds.n_rows else "train_only"
     x = ds.features[rows]
-    d = ds.n_features
-    if method == "none":
-        return ScalerParams(method, fitted_on, np.zeros(d), np.ones(d), np.zeros(d, bool))
+    center = np.zeros(ds.n_features)  # "none": the identity
+    scale = np.ones(ds.n_features)
     if method == "standardize":
         center = x.mean(axis=0)
         scale = x.std(axis=0)
-    else:
+    elif method == "minmax":
         center = x.min(axis=0)
         scale = x.max(axis=0) - center
     constant = scale == 0.0

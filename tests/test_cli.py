@@ -179,6 +179,7 @@ BAD_VALUES = [
     (("resampler", "k_neighbors"), "5", "resampler.k_neighbors must be an integer"),
     (("dataset", "synthetic", "n_features"), "30", "dataset.synthetic.n_features must be an integer"),
     (("dataset", "synthetic", "seed"), "x", "dataset.synthetic.seed must be an integer"),
+    (("dataset", "synthetic", "seed"), -1, "dataset.synthetic: seed must be non-negative"),
     (("model", "epochs"), 0, "model: epochs must be at least 1"),
     (("scaler",), "bogus", "unknown scaler 'bogus'"),
     (("model", "threshold"), 2.0, "model: threshold must be in (0, 1)"),
@@ -436,6 +437,16 @@ def test_run_on_csv_with_non_finite_value_exits_two(tmp_path, capsys):
     assert f"error: {csv_path}: line 6: column {header[1]!r} has non-finite value 'nan'" in err
 
 
+def test_run_on_csv_the_csv_module_rejects_exits_two(tmp_path, capsys):
+    # the csv module's own errors are input errors too, not a traceback with exit 1
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text("V1,Class\n" + "1" * 200_000 + ",0\n")
+    cfg = write_config(tmp_path, dataset={"csv": {"path": str(csv_path)}}, n_values=[0], seeds=[1])
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {csv_path}: line 2: field larger than field limit" in err
+
+
 # ---------------------------------------------------------------------------
 # audit, curves, generate, report
 # ---------------------------------------------------------------------------
@@ -603,6 +614,18 @@ def test_report_refuses_a_payload_that_is_not_a_report(tmp_path, capsys, payload
     assert main(["report", "--config", cfg]) == 2
     assert f"error: {source} is not a version-1 leakbench report" in capsys.readouterr().err
     assert source.read_bytes() == stored
+    assert sorted(p.name for p in source.parent.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize("raw", [b"not json", b'{"schema_version": "1"', b"\xff\xfe"])
+def test_report_refuses_a_file_that_is_not_json(tmp_path, capsys, raw):
+    cfg = write_config(tmp_path)
+    source = tmp_path / "out" / "report.json"
+    source.parent.mkdir()
+    source.write_bytes(raw)
+    assert main(["report", "--config", cfg]) == 2
+    assert f"error: {source} is not a version-1 leakbench report" in capsys.readouterr().err
+    assert source.read_bytes() == raw
     assert sorted(p.name for p in source.parent.iterdir()) == ["report.json"]
 
 

@@ -194,6 +194,8 @@ def test_synth_config_validation() -> None:
         SynthConfig(n_samples=100, positive_rate=0.1, class_separation=-1.0)
     with pytest.raises(ValueError, match="n_features must be positive"):
         SynthConfig(n_samples=100, positive_rate=0.1, n_features=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SynthConfig(n_samples=100, positive_rate=0.1, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +238,22 @@ def test_load_csv_errors(tmp_path) -> None:
         repeated.write_text(f"{header}\n1,2,3,0\n")
         with pytest.raises(ValueError, match=f"header repeats column '{name}'"):
             load_csv(str(repeated))
+
+    # the label and the time axis alone leave the model nothing to read
+    for header in ("Time,Class", "Class"):
+        no_features = tmp_path / "no_features.csv"
+        no_features.write_text(f"{header}\n1,0\n")
+        with pytest.raises(ValueError, match="no_features.csv: no feature columns in header"):
+            load_csv(str(no_features))
+
+    # errors of the csv module itself name the file and the line, in the header and the rows
+    big = tmp_path / "big.csv"
+    big.write_text("a,Class\n" + "1" * 200_000 + ",0\n")
+    with pytest.raises(ValueError, match="big.csv: line 2: field larger than field limit"):
+        load_csv(str(big))
+    big.write_text("a" * 200_000 + ",Class\n1,0\n")
+    with pytest.raises(ValueError, match="big.csv: line 1: field larger than field limit"):
+        load_csv(str(big))
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("a,Class\n1,0\n1,0,9\n")

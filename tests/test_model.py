@@ -86,6 +86,12 @@ def test_init_draw_order_and_determinism() -> None:
     b2 = math.sqrt(6.0 / 4)
     np.testing.assert_array_equal(m.w2, rng.uniform(-b2, b2, 3))
 
+    # without a hidden layer the output weights are the only draw, one per feature
+    logistic = init_mlp(cfg(n_features=7, hidden=0, seed=42))
+    assert logistic.w1 is None and logistic.b1 is None
+    b2 = math.sqrt(6.0 / 8)
+    np.testing.assert_array_equal(logistic.w2, derive_rng(42, "init").uniform(-b2, b2, 7))
+
     again = init_mlp(cfg(n_features=7, hidden=3, seed=42))
     np.testing.assert_array_equal(m.w1, again.w1)
     other = init_mlp(cfg(n_features=7, hidden=3, seed=43))

@@ -188,6 +188,10 @@ def test_constant_column_passes_through() -> None:
 def test_none_scaler_is_identity() -> None:
     ds = make_dataset([[3.0], [9.0]], [0, 1])
     params = fit_scaler(ds, np.arange(2), "none")
+    np.testing.assert_array_equal(params.center, [0.0])
+    np.testing.assert_array_equal(params.scale, [1.0])
+    np.testing.assert_array_equal(params.constant_mask, [False])
+    assert params.fitted_on == "full_dataset"
     scaled = apply_scaler(ds, params)
     np.testing.assert_array_equal(scaled.features, ds.features)
 
