@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -66,8 +67,11 @@ _LIST_KINDS = {int: "a non-empty list of integers", str: "a list of strings"}
 def _is(kind: type, value) -> bool:
     if isinstance(value, bool):
         return kind is bool
-    # number fields accept integers; integer fields reject 2.5 and 2.0
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        # integers count; json.load's NaN, Infinity and integers past the float range do not
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    # integer fields reject 2.5 and 2.0
+    return isinstance(value, kind)
 
 
 def _parse(kind, value, path: str):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -207,64 +208,71 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
     The file needs a header row and a ``Class`` column holding 0/1
     labels; a ``Time`` column, when present, becomes the dataset's time
     axis and every other column is a feature.  With ``expect_schema``
-    the header must match the transactions schema exactly.
+    the header must match the transactions schema exactly.  An error
+    names a physical line of the file: the line a bad record starts on,
+    or the line the csv module stopped on.
     """
+    values = array("d")
     # utf-8-sig drops the byte-order mark spreadsheet tools put before the first header name
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        records = _records(csv.reader(fh), path)
+        reader = csv.reader(fh)
         try:
-            header = next(records)
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if expect_schema and tuple(header) != TRANSACTION_SCHEMA:
-            raise ValueError(
-                f"{path}: header does not match the expected transactions schema"
-            )
-        repeated = next((h for h in header if header.count(h) > 1), None)
-        if repeated is not None:
-            raise ValueError(f"{path}: header repeats column {repeated!r}")
-        if LABEL_COLUMN not in header:
-            raise ValueError(f"{path}: no '{LABEL_COLUMN}' column in header")
-        if not set(header) - {LABEL_COLUMN, TIME_COLUMN}:
-            raise ValueError(f"{path}: no feature columns in header")
-        n_cols = len(header)
-        label_col = header.index(LABEL_COLUMN)
-        time_col = header.index(TIME_COLUMN) if TIME_COLUMN in header else -1
-
-        rows: list[list[float]] = []
-        for line_no, row in enumerate(records, start=2):
-            if len(row) != n_cols:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: file is empty")
+            header = [h.strip() for h in header]
+            if expect_schema and tuple(header) != TRANSACTION_SCHEMA:
                 raise ValueError(
-                    f"{path}: line {line_no}: expected {n_cols} columns, got {len(row)}"
+                    f"{path}: header does not match the expected transactions schema"
                 )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(c for c in row if not _is_number(c))
-                col = header[row.index(bad)]
-                raise ValueError(
-                    f"{path}: line {line_no}: column {col!r} has non-numeric value {bad!r}"
-                ) from None
+            repeated = next((h for h in header if header.count(h) > 1), None)
+            if repeated is not None:
+                raise ValueError(f"{path}: header repeats column {repeated!r}")
+            if LABEL_COLUMN not in header:
+                raise ValueError(f"{path}: no '{LABEL_COLUMN}' column in header")
+            if not set(header) - {LABEL_COLUMN, TIME_COLUMN}:
+                raise ValueError(f"{path}: no feature columns in header")
+            n_cols = len(header)
+            lines = [reader.line_num + 1]  # lines[r]: the line data record r starts on
+            for row in reader:
+                if len(row) != n_cols:
+                    raise ValueError(
+                        f"{path}: line {lines[-1]}: expected {n_cols} columns, got {len(row)}"
+                    )
+                try:
+                    values.extend(map(float, row))
+                except ValueError:
+                    for name, cell in zip(header, row):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise ValueError(
+                                f"{path}: line {lines[-1]}: column {name!r} "
+                                f"has non-numeric value {cell!r}"
+                            ) from None
+                lines.append(reader.line_num + 1)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
-    if not rows:
+    n_rows = len(lines) - 1
+    if not n_rows:
         raise ValueError(f"{path}: no data rows")
-    table = np.array(rows, dtype=np.float64)
+    table = np.frombuffer(values, dtype=np.float64).reshape(n_rows, n_cols)
     # nan and inf parse as numbers, but distances and scalers cannot use them
     bad = ~np.isfinite(table)
     if np.any(bad):
         r, c = np.argwhere(bad)[0]
         raise ValueError(
-            f"{path}: line {r + 2}: column {header[c]!r} has non-finite value "
+            f"{path}: line {lines[r]}: column {header[c]!r} has non-finite value "
             f"{str(table[r, c])!r}"
         )
+    label_col = header.index(LABEL_COLUMN)
     raw_labels = table[:, label_col]
     bad = ~np.isin(raw_labels, (0.0, 1.0))
     if np.any(bad):
-        line = int(np.nonzero(bad)[0][0]) + 2
-        raise ValueError(
-            f"{path}: line {line}: label {float(raw_labels[bad][0])!r} is not 0 or 1"
-        )
+        r = int(np.nonzero(bad)[0][0])
+        raise ValueError(f"{path}: line {lines[r]}: label {float(raw_labels[r])!r} is not 0 or 1")
+    time_col = header.index(TIME_COLUMN) if TIME_COLUMN in header else -1
     feature_cols = [i for i in range(n_cols) if i not in (label_col, time_col)]
     return Dataset(
         features=table[:, feature_cols],
@@ -272,22 +280,6 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
         feature_names=tuple(header[i] for i in feature_cols),
         time=table[:, time_col] if time_col >= 0 else None,
     )
-
-
-def _records(reader, path: str):
-    """The reader's records; an error of the csv module becomes a ValueError naming the line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def save_csv(ds: Dataset, path: str) -> None:

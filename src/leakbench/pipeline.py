@@ -162,13 +162,13 @@ def fit_scaler(ds: Dataset, rows: np.ndarray, method: str) -> ScalerParams:
     if rows.size == 0:
         raise ValueError("scaler fit requires at least one row")
     fitted_on = "full_dataset" if rows.size == ds.n_rows else "train_only"
-    x = ds.features[rows]
-    center = np.zeros(ds.n_features)  # "none": the identity
+    center = np.zeros(ds.n_features)  # "none": the identity, which reads no rows
     scale = np.ones(ds.n_features)
     if method == "standardize":
-        center = x.mean(axis=0)
-        scale = x.std(axis=0)
+        x = ds.features[rows]
+        center, scale = x.mean(axis=0), x.std(axis=0)
     elif method == "minmax":
+        x = ds.features[rows]
         center = x.min(axis=0)
         scale = x.max(axis=0) - center
     constant = scale == 0.0

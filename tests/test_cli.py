@@ -190,6 +190,14 @@ BAD_VALUES = [
     (("dataset", "columns"), ["V1", "V1"], "dataset: columns must not repeat"),
     (("n_values",), [2, 2], "n_values must not repeat"),
     (("protocols",), ["leaky", "clean", "leaky"], "protocols must not repeat"),
+    # json.load parses NaN and Infinity; an untrained model or failed cells would follow
+    (("model", "epsilon"), float("inf"), "model.epsilon must be a number"),
+    (("model", "learning_rate"), float("nan"), "model.learning_rate must be a number"),
+    (
+        ("dataset", "synthetic", "class_separation"),
+        float("nan"),
+        "dataset.synthetic.class_separation must be a number",
+    ),
 ]
 
 
@@ -209,6 +217,16 @@ def test_bad_values_are_config_errors_in_every_subcommand(tmp_path, capsys, path
     for command in ("run", "audit", "curves"):
         assert main([command, "--config", str(cfg)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_integer_past_the_float_range_is_a_config_error():
+    # json.load keeps an integer literal of any size; float() of it would overflow
+    doc = base_doc("out")
+    doc["model"]["learning_rate"] = 10**400
+    with pytest.raises(ConfigError, match=re.escape("model.learning_rate must be a number")):
+        build_grid_config(doc)
+    doc["model"]["learning_rate"] = 10**300  # inside the range: stored as a float
+    assert build_grid_config(doc).model.learning_rate == 1e300
 
 
 def random_doc(rng: random.Random) -> dict:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -231,6 +234,10 @@ def test_load_csv_errors(tmp_path) -> None:
     no_label.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="no 'Class' column"):
         load_csv(str(no_label))
+    # a blank first line is a header with no names, not an empty file
+    no_label.write_text("\na,Class\n1,0\n")
+    with pytest.raises(ValueError, match="no 'Class' column"):
+        load_csv(str(no_label))
 
     # a repeated name would turn the label or the timestamp into a feature
     for header, name in (("Time,V1,Class,Class", "Class"), ("Time,V1,Time,Class", "Time")):
@@ -284,6 +291,17 @@ def test_load_csv_errors(tmp_path) -> None:
     with pytest.raises(ValueError, match="line 3: label 3.0 is not 0 or 1"):
         load_csv(str(bad_label))
 
+    # a quoted cell holding a newline spans two lines; later errors still name the physical line
+    for body, message in (
+        ("foo,1", "line 4: column 'a' has non-numeric value 'foo'"),
+        ("inf,1", "line 4: column 'a' has non-finite value 'inf'"),
+        ("2,3", "line 4: label 3.0 is not 0 or 1"),
+    ):
+        multi_line = tmp_path / "multi_line.csv"
+        multi_line.write_text(f'a,Class\n"1\n",0\n{body}\n')
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(str(multi_line))
+
     header_only = tmp_path / "header_only.csv"
     header_only.write_text("a,Class\n")
     with pytest.raises(ValueError, match="no data rows"):
@@ -320,6 +338,89 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path) -> None:
     ds = load_csv(str(schema), expect_schema=True)
     assert ds.n_features == 29
     assert ds.time is not None
+
+
+def _spelling(rng: random.Random, value: int) -> str:
+    """An integer in one of the spellings float() accepts."""
+    if value >= 1000 and rng.random() < 0.3:
+        return f"{value:_}"
+    if value % 1000 == 0 and rng.random() < 0.3:
+        return f"+{value // 1000}e3"
+    return rng.choice(["", " "]) + str(value)
+
+
+def _quoted(rng: random.Random, cell: str) -> tuple[str, str]:
+    """The cell as written to the file, quoted at random, and as the csv module reads it."""
+    roll = rng.random()
+    if roll < 0.15:
+        cell = rng.choice([f"{cell}\n", f"\n{cell}"])  # only quotes keep the newline
+    if roll < 0.3:
+        return f'"{cell}"', cell
+    return cell, cell
+
+
+def _generated_csv(rng: random.Random, fault: str | None):
+    """A labelled CSV text with at most one planted fault, its table, and the expected error.
+
+    The generator counts lines as it writes them, so the line an error must
+    name does not come from the reader under test.
+    """
+    names = [f"V{j}" for j in range(1, rng.randint(1, 4) + 1)] + ["Class"]
+    if rng.random() < 0.5:
+        names.append("Time")
+    rng.shuffle(names)
+    label = names.index("Class")
+    cells = [
+        [rng.choice([rng.randint(0, 9), 1000 * rng.randint(1, 50)]) for _ in names]
+        for _ in range(rng.randint(1, 8))
+    ]
+    table = np.array(cells, dtype=np.float64)
+    table[:, label] = [rng.randint(0, 1) for _ in cells]
+    r = rng.randrange(len(table))
+    c = label if fault == "label" else rng.randrange(len(names))
+    bad = {"non_numeric": "x7", "inf": "inf", "label": "3"}
+    records = [list(names)] + [[_spelling(rng, int(v)) for v in row] for row in table]
+    if fault == "short":
+        del records[r + 1][-1]
+    elif fault is not None:
+        records[r + 1][c] = bad[fault]
+    text, line, message = "", 1, None
+    for i, record in enumerate(records):
+        written, read = zip(*(_quoted(rng, cell) for cell in record))
+        if i == r + 1 and fault is not None:
+            cell = read[c] if fault == "non_numeric" else None  # the planted cell as read back
+            message = f"line {line}: " + {
+                "short": f"expected {len(names)} columns, got {len(names) - 1}",
+                "non_numeric": f"column {names[c]!r} has non-numeric value {cell!r}",
+                "inf": f"column {names[c]!r} has non-finite value 'inf'",
+                "label": "label 3.0 is not 0 or 1",
+            }[fault]
+        text += ",".join(written) + "\n"
+        line = text.count("\n") + 1
+    return names, table, text, message
+
+
+def test_load_csv_property(tmp_path) -> None:
+    """Generated files load to the written table, or fail naming the planted fault's line."""
+    path = tmp_path / "generated.csv"
+    for seed in range(300):
+        rng = random.Random(seed)
+        fault = rng.choice([None, "short", "non_numeric", "inf", "label"])
+        names, table, text, message = _generated_csv(rng, fault)
+        path.write_text(text, encoding=rng.choice(["utf-8", "utf-8-sig"]))
+        if message is not None:
+            with pytest.raises(ValueError, match=re.escape(f"generated.csv: {message}")):
+                load_csv(str(path))
+            continue
+        ds = load_csv(str(path))
+        features = [j for j, name in enumerate(names) if name not in ("Class", "Time")]
+        assert ds.feature_names == tuple(names[j] for j in features)
+        np.testing.assert_array_equal(ds.features, table[:, features])
+        np.testing.assert_array_equal(ds.labels, table[:, names.index("Class")])
+        if "Time" in names:
+            np.testing.assert_array_equal(ds.time, table[:, names.index("Time")])
+        else:
+            assert ds.time is None
 
 
 def test_csv_round_trip_is_exact(tmp_path) -> None:

@@ -4,6 +4,7 @@ two protocol orderings run end to end."""
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,20 @@ def test_none_scaler_is_identity() -> None:
     assert params.fitted_on == "full_dataset"
     scaled = apply_scaler(ds, params)
     np.testing.assert_array_equal(scaled.features, ds.features)
+
+
+def test_none_scaler_reads_no_rows() -> None:
+    # "none" is the identity: a copy of the fitted rows would be wasted memory
+    rng = np.random.default_rng(21)
+    ds = make_dataset(rng.standard_normal((50_000, 30)), rng.integers(0, 2, 50_000))
+    rows = np.arange(ds.n_rows)
+    tracemalloc.start()
+    try:
+        fit_scaler(ds, rows, "none")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.features.nbytes / 10
 
 
 def test_fit_scaler_validation() -> None:
