@@ -29,7 +29,7 @@ from .experiment import (
     run_grid,
 )
 from .metrics import ConfusionMatrix, MetricReport, confusion, evaluate, pr_curve, roc_curve
-from .model import MlpConfig, MlpModel, bce_loss, forward, init_mlp, predict, train
+from .model import MlpConfig, MlpModel, bce_loss, forward, init_mlp, train
 from .pipeline import (
     ContaminationReport,
     SplitSpec,
@@ -77,7 +77,6 @@ __all__ = [
     "init_mlp",
     "load_csv",
     "pr_curve",
-    "predict",
     "roc_curve",
     "run_cell",
     "run_grid",

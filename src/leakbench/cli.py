@@ -149,7 +149,7 @@ def _cmd_generate(cfg: GridConfig) -> int:
 def _cmd_report(cfg: GridConfig) -> int:
     source = Path(cfg.output_dir) / "report.json"
     try:
-        payload = json.loads(source.read_text())
+        payload = json.loads(source.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValueError(f"no report found at {source}") from None
     except ValueError:  # not JSON text; refused below like any other non-report

@@ -253,6 +253,8 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
                 lines.append(reader.line_num + 1)
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # the decoder reads in chunks, so no line is known
+            raise ValueError(f"{path}: {exc}") from None
 
     n_rows = len(lines) - 1
     if not n_rows:

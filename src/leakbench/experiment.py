@@ -59,10 +59,10 @@ REFERENCE_RESULTS: dict[int, dict[str, float]] = {
     16: {"accuracy": 0.996, "precision": 0.992, "recall": 0.999, "f1": 0.996},
 }
 
-REFERENCE_METRICS = ("accuracy", "precision", "recall", "f1")
+REFERENCE_METRICS = tuple(REFERENCE_RESULTS[0])
 REFERENCE_TOLERANCE = 0.02
 
-DEFAULT_N_VALUES = (0, 1, 2, 4, 6, 8, 10, 12, 16)
+DEFAULT_N_VALUES = tuple(REFERENCE_RESULTS)
 
 # Datasets larger than this refuse the all-pairs methods unless
 # allow_quadratic is set.  The kNN kernel measured 26.3 million distance
@@ -588,9 +588,10 @@ def write_cell_curves(cell: CellResult, curves_dir: Path) -> list[Path]:
         ("prc", cell.metrics.prc_points, "recall", "precision"),
     ):
         csv_path = curves_dir / f"{cell.key}_{kind}.csv"
-        csv_path.write_text(_curve_csv(points, xlabel, ylabel))
+        csv_path.write_text(_curve_csv(points, xlabel, ylabel), encoding="utf-8")
         svg_path = curves_dir / f"{cell.key}_{kind}.svg"
-        svg_path.write_text(_curve_svg(points, xlabel, ylabel, f"{cell.key} {kind}"))
+        svg_text = _curve_svg(points, xlabel, ylabel, f"{cell.key} {kind}")
+        svg_path.write_text(svg_text, encoding="utf-8")
         written.extend([csv_path, svg_path])
     return written
 
@@ -618,5 +619,5 @@ def emit_from_dict(report_dict: dict, out_dir: str, formats: tuple[str, ...]) ->
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
-        (out / name).write_text(text)
+        (out / name).write_text(text, encoding="utf-8")
     return [out / name for name in texts]

@@ -54,7 +54,6 @@ class MetricReport:
     roc_auc: float
     prc_points: np.ndarray  # (m, 2) columns recall, precision
     average_precision: float
-    threshold: float
 
 
 def _check_binary(values: np.ndarray, what: str) -> np.ndarray:
@@ -166,5 +165,4 @@ def evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> Metric
         roc_auc=auc,
         prc_points=prc_points,
         average_precision=ap,
-        threshold=float(threshold),
     )

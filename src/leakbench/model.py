@@ -31,7 +31,6 @@ __all__ = [
     "forward",
     "init_mlp",
     "loss_and_grad",
-    "predict",
     "train",
 ]
 
@@ -272,10 +271,3 @@ def train(
             _adam_step(cfg, t, params, grad, m, v)
         history.append(bce_loss(_forward(x, *layers)[2], y))
     return MlpModel(config=cfg, w1=w1, b1=b1, w2=w2, b2=float(b2[0])), history
-
-
-def predict(model: MlpModel, x: np.ndarray, threshold: float | None = None) -> np.ndarray:
-    """Hard labels; a score equal to the threshold counts as positive."""
-    if threshold is None:
-        threshold = model.config.threshold
-    return (forward(model, x) >= threshold).astype(np.int64)

@@ -62,15 +62,13 @@ class ScalerParams:
 
     ``fitted_on`` records whether the fit saw every row of the dataset
     ("full_dataset") or a proper subset ("train_only"); the audit trail
-    for scaling leaks.  Constant columns pass through unchanged and are
-    flagged in ``constant_mask``.
+    for scaling leaks.  A constant column gets center 0 and scale 1, so
+    it passes through unchanged.
     """
 
-    method: str
     fitted_on: str
     center: np.ndarray
     scale: np.ndarray
-    constant_mask: np.ndarray
 
 
 @dataclass
@@ -174,7 +172,7 @@ def fit_scaler(ds: Dataset, rows: np.ndarray, method: str) -> ScalerParams:
     constant = scale == 0.0
     center = np.where(constant, 0.0, center)
     scale = np.where(constant, 1.0, scale)
-    return ScalerParams(method, fitted_on, center, scale, constant)
+    return ScalerParams(fitted_on, center, scale)
 
 
 def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:

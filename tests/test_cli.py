@@ -6,6 +6,7 @@ smoke test runs the installed console script for real.
 """
 
 import json
+import os
 import random
 import re
 import subprocess
@@ -66,6 +67,18 @@ def test_load_config_file_errors(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="must hold a JSON object"):
         load_config_file(str(arr))
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff{}")
+    with pytest.raises(ConfigError, match=r"config file .*latin\.json is not UTF-8 text: 'utf-8'"):
+        load_config_file(str(latin))
+
+
+def test_load_config_file_is_utf8_and_skips_a_bom(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"output_dir": "donn\u00e9es"}).encode())
+    assert load_config_file(str(path)) == {"output_dir": "donn\u00e9es"}
+    path.write_bytes('{"output_dir": "donn\u00e9es"}'.encode("utf-8"))
+    assert load_config_file(str(path)) == {"output_dir": "donn\u00e9es"}
 
 
 def test_build_grid_config_defaults(tmp_path):
@@ -595,6 +608,31 @@ def test_report_reemits_from_stored_json(tmp_path, capsys):
     assert (out_dir / "cells.csv").exists()
     assert (out_dir / "summary.md").exists()
     assert captured.out.count("wrote ") == 2
+
+
+def test_report_writes_utf8_under_an_ascii_locale(tmp_path, capsys):
+    # the locale's encoding must not decide how the config is read or the tables are written;
+    # under the C locale it cannot encode the dataset name that summary.md echoes
+    data = tmp_path / "donn\u00e9es.csv"
+    save_csv(generate_synthetic(SynthConfig(n_samples=160, positive_rate=0.1, seed=5)), str(data))
+    doc = base_doc(str(tmp_path / "out"), dataset={"csv": {"path": str(data)}})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    summary = tmp_path / "out" / "summary.md"
+    expected = summary.read_bytes()
+    assert "donn\u00e9es.csv".encode() in expected
+    summary.unlink()
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "leakbench.cli", "report", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert summary.read_bytes() == expected
 
 
 def test_report_without_stored_json_exits_two(tmp_path, capsys):

@@ -262,6 +262,12 @@ def test_load_csv_errors(tmp_path) -> None:
     with pytest.raises(ValueError, match="big.csv: line 1: field larger than field limit"):
         load_csv(str(big))
 
+    # a file that is not UTF-8 names the path; the decoder reads in chunks, so no line
+    cp1252 = tmp_path / "cp1252.csv"
+    cp1252.write_bytes(b"Montant\xe9,Class\n1,0\n")
+    with pytest.raises(ValueError, match="cp1252.csv: 'utf-8' codec can't decode byte 0xe9"):
+        load_csv(str(cp1252))
+
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("a,Class\n1,0\n1,0,9\n")
     with pytest.raises(ValueError, match="line 3: expected 2 columns, got 3"):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 
 import numpy as np
 import pytest
@@ -163,13 +164,25 @@ def test_seeds_actually_vary_the_outcome():
 
 
 def test_run_cell_matches_grid_cell():
-    cfg = tiny_grid()
-    ds = load_grid_dataset(cfg.dataset)
-    solo = run_cell(ds, cfg, 2, "clean", 1)
-    report = run_grid(cfg)
-    twin = next(c for c in report.cells if c.key == "N2_clean_s1")
-    assert solo.metrics.scalars == twin.metrics.scalars
-    assert solo.history == twin.history
+    # each cell alone, in a shuffled order, gives the grid's cell: a cell's
+    # result depends on its coordinates only, never on the cells run before it
+    for method in ("smote", "smote_enn", "random_under", "adasyn"):
+        cfg = tiny_grid(resampler=ResamplerSpec(method=method, k_neighbors=3))
+        ds = load_grid_dataset(cfg.dataset)
+        grid_cells = {c.key: c for c in run_grid(cfg).cells}
+        coords = [
+            (n, protocol, s)
+            for n in cfg.n_values
+            for protocol in cfg.protocols
+            for s in range(len(cfg.seeds))
+        ]
+        random.Random(method).shuffle(coords)
+        for coord in coords:
+            solo = run_cell(ds, cfg, *coord).to_dict()
+            twin = grid_cells[cell_key(*coord)].to_dict()
+            solo["wall_time_s"] = twin["wall_time_s"] = 0.0
+            assert solo == twin, (method, coord)
+        assert len(coords) == len(grid_cells)
 
 
 def test_failed_cells_are_captured_not_raised():

@@ -205,7 +205,6 @@ def test_evaluate_bundles_everything() -> None:
     assert (rep.confusion.tp, rep.confusion.fp) == (1, 0)
     assert (rep.confusion.tn, rep.confusion.fn) == (2, 1)
     assert rep.roc_auc == pytest.approx(0.75)
-    assert rep.threshold == 0.5
     assert rep.scalars.precision == pytest.approx(1.0)
     assert rep.scalars.recall == pytest.approx(0.5)
 
