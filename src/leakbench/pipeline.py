@@ -185,10 +185,10 @@ def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _row_keys(ds: Dataset) -> list[bytes]:
-    """One hashable key per row: features rounded to 12 significant digits, plus the label."""
-    rounded = _round_significant(ds.features, 12)
-    return [row.tobytes() + bytes([label]) for row, label in zip(rounded, ds.labels)]
+def _row_keys(ds: Dataset, rows: np.ndarray) -> list[bytes]:
+    """One key per selected row: its features at 12 significant digits, plus its label."""
+    rounded = _round_significant(ds.features[rows], 12)
+    return [row.tobytes() + bytes([label]) for row, label in zip(rounded, ds.labels[rows])]
 
 
 def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
@@ -218,8 +218,15 @@ def contamination_audit(train: Dataset, test: Dataset) -> ContaminationReport:
     pb = test.origin.parent_b[synth_mask]
     parent_in_train = int((np.isin(pa, train_sources) | np.isin(pb, train_sources)).sum())
 
-    train_keys = set(_row_keys(train))
-    duplicates = sum(key in train_keys for key in _row_keys(test))
+    # equal keys need equal rounded first values, so only rows whose first value (as bits,
+    # like the keys) occurs on the other side get a full key; the test side is matched
+    # against the few train values already found on it
+    train_first = _round_significant(train.features[:, 0], 12).view(np.int64)
+    test_first = _round_significant(test.features[:, 0], 12).view(np.int64)
+    train_pass = np.isin(train_first, test_first)
+    train_keys = set(_row_keys(train, train_pass))
+    test_keys = _row_keys(test, np.isin(test_first, train_first[train_pass]))
+    duplicates = sum(key in train_keys for key in test_keys)
 
     return ContaminationReport(
         n_test_rows=test.n_rows,

@@ -635,6 +635,33 @@ def test_report_writes_utf8_under_an_ascii_locale(tmp_path, capsys):
     assert summary.read_bytes() == expected
 
 
+def test_unencodable_path_names_the_path(tmp_path):
+    # under the C locale the filesystem encoding is ascii, so a non-ASCII file name cannot be
+    # opened at all; the error must say which path, not only which character
+    data = tmp_path / "données.csv"
+    save_csv(generate_synthetic(SynthConfig(n_samples=160, positive_rate=0.1, seed=5)), str(data))
+    ascii_csv = tmp_path / "data.csv"
+    ascii_csv.write_bytes(data.read_bytes())
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    cases = [
+        (str(data), str(tmp_path / "out"), "donn\\xe9es.csv"),
+        (str(ascii_csv), str(tmp_path / "résultats"), "r\\xe9sultats"),
+    ]
+    for csv_path, out_dir, escaped in cases:
+        doc = base_doc(out_dir, dataset={"csv": {"path": csv_path}})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "leakbench.cli", "run", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error: path" in proc.stderr and escaped in proc.stderr, proc.stderr
+        assert "ascii" in proc.stderr
+
+
 def test_report_without_stored_json_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["report", "--config", cfg]) == 2

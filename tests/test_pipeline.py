@@ -275,6 +275,12 @@ def test_audit_duplicate_rows_at_twelve_digits() -> None:
     rep = contamination_audit(train, make_dataset(base[:1], [0]))
     assert rep.n_cross_split_duplicates == 0
 
+    # same first value, a later value differs within 12 significant digits: not a duplicate
+    later = base.copy()
+    later[0, 1] *= 1.0 + 1e-9
+    rep = contamination_audit(train, make_dataset(later[:1], [1]))
+    assert rep.n_cross_split_duplicates == 0
+
 
 def test_audit_treats_negative_zero_as_zero() -> None:
     train = make_dataset(np.array([[0.0, 1.0]]), [0])
@@ -292,6 +298,49 @@ def test_audit_compares_tiny_magnitudes_exactly() -> None:
         assert rep.leak_flag is False
         rep = contamination_audit(train, make_dataset(np.array([[1e-300]]), [0]))
         assert rep.n_cross_split_duplicates == 1
+
+
+def _brute_force_duplicates(train: Dataset, test: Dataset) -> int:
+    """Test rows bitwise equal to a train row at 12 digits, label too; every pair compared."""
+    rtr = pipeline._round_significant(train.features, 12).view(np.int64)
+    rte = pipeline._round_significant(test.features, 12).view(np.int64)
+    count = 0
+    for row, label in zip(rte, test.labels):
+        count += any(
+            label == other_label and all(a == b for a, b in zip(row, other))
+            for other, other_label in zip(rtr, train.labels)
+        )
+    return count
+
+
+def test_audit_duplicates_match_brute_force_many_instances() -> None:
+    # first values collide often while later values differ, so the first-value filter passes
+    # rows that are not duplicates and must still drop none that are
+    rng = np.random.default_rng(2024)
+    odd = [0.0, -0.0, 1e-300, -1e-300, 3e-300, 5e-324, np.inf, np.nan]
+    near = [1.0, 1.0 + 1e-14, 1.0 + 1e-9, -2.5, 1e6 / 3, 1e6 / 3 * (1 + 1e-13)]
+    for _ in range(300):
+        n_features = int(rng.integers(1, 5))
+        pool = np.array(odd + near + list(rng.standard_normal(3)))
+        first = rng.choice(pool, size=int(rng.integers(1, 4)))  # few distinct first values
+        n_train, n_test = rng.integers(1, 30, size=2)
+
+        def draw(n):
+            x = rng.choice(pool, size=(n, n_features))
+            x[:, 0] = rng.choice(first, size=n)
+            return x
+
+        x_train, x_test = draw(n_train), draw(n_test)
+        y_train, y_test = rng.integers(0, 2, n_train), rng.integers(0, 2, n_test)
+        # plant copies of train rows, some nudged below 12 digits, some with the label flipped
+        k = int(rng.integers(0, min(n_train, n_test) + 1))
+        picks = rng.choice(n_train, size=k)
+        x_test[:k] = x_train[picks] * np.where(rng.random((k, 1)) < 0.3, 1.0 + 1e-14, 1.0)
+        y_test[:k] = np.where(rng.random(k) < 0.2, 1 - y_train[picks], y_train[picks])
+
+        train, test = make_dataset(x_train, y_train), make_dataset(x_test, y_test)
+        rep = contamination_audit(train, test)
+        assert rep.n_cross_split_duplicates == _brute_force_duplicates(train, test)
 
 
 def test_leak_flag_equivalence_many_instances() -> None:
