@@ -83,8 +83,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_grid_config(doc, **{k: v for k, v in overrides.items() if v is not None})
         return handler(cfg)
     except UnicodeEncodeError as exc:
-        # a file name the filesystem encoding (ascii under the C locale) cannot spell
-        print(f"error: path {exc.object!r} cannot be encoded as {exc.encoding}", file=sys.stderr)
+        # a file name the filesystem encoding (ascii under the C locale) cannot spell, or a
+        # "wrote <path>" line that stdout's encoding cannot
+        print(f"error: cannot encode {exc.object!r} as {exc.encoding}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError, OSError) as exc:
         # bad config, bad data or unreadable/unwritable files; failures

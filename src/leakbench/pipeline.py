@@ -192,14 +192,14 @@ def _row_keys(ds: Dataset, rows: np.ndarray) -> list[bytes]:
 
 
 def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
-    out = np.array(x, dtype=np.float64)
+    """Round a float64 array the caller owns to `digits` significant digits, in place."""
     # below 1e-290 the scale factor overflows; such values keep their exact bits
-    nz = (np.abs(out) >= 1e-290) & np.isfinite(out)
-    mag = np.floor(np.log10(np.abs(out[nz])))
+    nz = (np.abs(x) >= 1e-290) & np.isfinite(x)
+    mag = np.floor(np.log10(np.abs(x[nz])))
     factor = 10.0 ** (digits - 1 - mag)
-    out[nz] = np.round(out[nz] * factor) / factor
-    out[out == 0] = 0.0  # fold -0.0 into +0.0 so the byte keys agree
-    return out
+    x[nz] = np.round(x[nz] * factor) / factor
+    x[x == 0] = 0.0  # fold -0.0 into +0.0 so the byte keys agree
+    return x
 
 
 def contamination_audit(train: Dataset, test: Dataset) -> ContaminationReport:
@@ -221,8 +221,8 @@ def contamination_audit(train: Dataset, test: Dataset) -> ContaminationReport:
     # equal keys need equal rounded first values, so only rows whose first value (as bits,
     # like the keys) occurs on the other side get a full key; the test side is matched
     # against the few train values already found on it
-    train_first = _round_significant(train.features[:, 0], 12).view(np.int64)
-    test_first = _round_significant(test.features[:, 0], 12).view(np.int64)
+    train_first = _round_significant(train.features[:, 0].copy(), 12).view(np.int64)
+    test_first = _round_significant(test.features[:, 0].copy(), 12).view(np.int64)
     train_pass = np.isin(train_first, test_first)
     train_keys = set(_row_keys(train, train_pass))
     test_keys = _row_keys(test, np.isin(test_first, train_first[train_pass]))

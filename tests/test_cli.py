@@ -635,21 +635,26 @@ def test_report_writes_utf8_under_an_ascii_locale(tmp_path, capsys):
     assert summary.read_bytes() == expected
 
 
-def test_unencodable_path_names_the_path(tmp_path):
+def test_unencodable_text_is_quoted_in_the_error(tmp_path):
     # under the C locale the filesystem encoding is ascii, so a non-ASCII file name cannot be
-    # opened at all; the error must say which path, not only which character
+    # opened at all; with an ascii stdout the files are written but "wrote <path>" is not; the
+    # error must quote the text that failed, not only its first bad character
     data = tmp_path / "données.csv"
     save_csv(generate_synthetic(SynthConfig(n_samples=160, positive_rate=0.1, seed=5)), str(data))
     ascii_csv = tmp_path / "data.csv"
     ascii_csv.write_bytes(data.read_bytes())
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    out = tmp_path / "résultats"
+    c_locale = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    ascii_stdout = {**os.environ, "PYTHONUTF8": "1", "PYTHONIOENCODING": "ascii"}
+    # (environment, csv path, output dir, the start of the quoted text)
     cases = [
-        (str(data), str(tmp_path / "out"), "donn\\xe9es.csv"),
-        (str(ascii_csv), str(tmp_path / "résultats"), "r\\xe9sultats"),
+        (c_locale, data, tmp_path / "out", repr(str(data))),
+        (c_locale, ascii_csv, out, repr(str(out))),
+        (ascii_stdout, ascii_csv, out, repr(f"wrote {out}/")[:-1]),
     ]
-    for csv_path, out_dir, escaped in cases:
-        doc = base_doc(out_dir, dataset={"csv": {"path": csv_path}})
-        cfg = tmp_path / "config.json"
+    cfg = tmp_path / "config.json"
+    for env, csv_path, out_dir, quoted in cases:
+        doc = base_doc(str(out_dir), dataset={"csv": {"path": str(csv_path)}})
         cfg.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "leakbench.cli", "run", "--config", str(cfg)],
@@ -658,8 +663,9 @@ def test_unencodable_path_names_the_path(tmp_path):
             env=env,
         )
         assert proc.returncode == 2, proc.stderr
-        assert "error: path" in proc.stderr and escaped in proc.stderr, proc.stderr
-        assert "ascii" in proc.stderr
+        escaped = quoted.encode("ascii", "backslashreplace").decode("ascii")  # as stderr has it
+        assert f"error: cannot encode {escaped}" in proc.stderr, proc.stderr
+        assert "' as ascii" in proc.stderr, proc.stderr
 
 
 def test_report_without_stored_json_exits_two(tmp_path, capsys):

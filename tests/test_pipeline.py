@@ -302,8 +302,8 @@ def test_audit_compares_tiny_magnitudes_exactly() -> None:
 
 def _brute_force_duplicates(train: Dataset, test: Dataset) -> int:
     """Test rows bitwise equal to a train row at 12 digits, label too; every pair compared."""
-    rtr = pipeline._round_significant(train.features, 12).view(np.int64)
-    rte = pipeline._round_significant(test.features, 12).view(np.int64)
+    rtr = pipeline._round_significant(train.features.copy(), 12).view(np.int64)
+    rte = pipeline._round_significant(test.features.copy(), 12).view(np.int64)
     count = 0
     for row, label in zip(rte, test.labels):
         count += any(
@@ -339,7 +339,9 @@ def test_audit_duplicates_match_brute_force_many_instances() -> None:
         y_test[:k] = np.where(rng.random(k) < 0.2, 1 - y_train[picks], y_train[picks])
 
         train, test = make_dataset(x_train, y_train), make_dataset(x_test, y_test)
+        before = train.features.tobytes(), test.features.tobytes()
         rep = contamination_audit(train, test)
+        assert (train.features.tobytes(), test.features.tobytes()) == before  # rounds copies
         assert rep.n_cross_split_duplicates == _brute_force_duplicates(train, test)
 
 
