@@ -202,36 +202,108 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     )
 
 
+# The bytes of a data line that numpy's parser reads exactly as float() does.  Left out are
+# quotes, '\r', '_', '#', letters but e/E, and the '\x1c'-'\x1f' separators numpy strips.
+_PLAIN = b"0123456789+-.eE, \n"
+
+
 def load_csv(path: str, expect_schema: bool = False) -> Dataset:
     """Load a labelled CSV file.
 
     The file needs a header row and a ``Class`` column holding 0/1
     labels; a ``Time`` column, when present, becomes the dataset's time
     axis and every other column is a feature.  With ``expect_schema``
-    the header must match the transactions schema exactly.  An error
-    names a physical line of the file: the line a bad record starts on,
-    or the line the csv module stopped on.
+    the header must match the transactions schema exactly.
+
+    A file whose data lines hold only digits, signs, points, exponents,
+    commas and spaces, none of them blank, is read by numpy's C parser;
+    any other file, and any file that parser or its checks refuse, is
+    read again by the csv-module record parser.  Both give the same
+    table, and only the record parser raises, so every error is the same
+    either way.  An error names a physical line of the file: the line a
+    bad record starts on, or the line the csv module stopped on.
     """
+    header, table = _plain_table(path, expect_schema) or _record_table(path, expect_schema)
+    label_col = header.index(LABEL_COLUMN)
+    time_col = header.index(TIME_COLUMN) if TIME_COLUMN in header else -1
+    feature_cols = [i for i in range(len(header)) if i not in (label_col, time_col)]
+    return Dataset(
+        features=table.take(feature_cols, axis=1),  # C order; a fancy index gives Fortran order
+        labels=table[:, label_col].astype(np.int64),
+        feature_names=tuple(header[i] for i in feature_cols),
+        time=table[:, time_col] if time_col >= 0 else None,
+    )
+
+
+def _read_header(reader, path: str, expect_schema: bool) -> list[str]:
+    """The header's names from the reader's first record; raises on a header load_csv cannot use."""
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: file is empty")
+    header = [h.strip() for h in header]
+    if expect_schema and tuple(header) != TRANSACTION_SCHEMA:
+        raise ValueError(f"{path}: header does not match the expected transactions schema")
+    repeated = next((h for h in header if header.count(h) > 1), None)
+    if repeated is not None:
+        raise ValueError(f"{path}: header repeats column {repeated!r}")
+    if LABEL_COLUMN not in header:
+        raise ValueError(f"{path}: no '{LABEL_COLUMN}' column in header")
+    if not set(header) - {LABEL_COLUMN, TIME_COLUMN}:
+        raise ValueError(f"{path}: no feature columns in header")
+    return header
+
+
+def _plain_lines(fh, limit: int):
+    for line in fh:
+        # a blank line is a record of 0 columns, and a line past the csv module's field limit may
+        # hold a field it refuses; numpy would skip the one and read the other
+        if line.translate(None, _PLAIN) or line.isspace() or len(line) > limit:
+            raise ValueError("not a plain line")
+        yield line
+
+
+def _plain_table(path: str, expect_schema: bool) -> tuple[list[str], np.ndarray] | None:
+    """The header and table of a file whose data lines are plain, read by numpy; else None.
+
+    Declines (None) on anything the record parser might read differently or refuse, so that
+    ``_record_table`` stays the only source of errors.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = _read_header(reader, path, expect_schema)
+        with open(path, "rb") as fh:
+            # without '\r' the header's lines end where the csv reader's did; a file with no
+            # data line is left to the record parser, as numpy would warn on it
+            if any(b"\r" in fh.readline() for _ in range(reader.line_num)) or not fh.peek(1):
+                return None
+            table = np.loadtxt(
+                _plain_lines(fh, csv.field_size_limit()),
+                delimiter=",",
+                comments=None,
+                quotechar=None,
+                dtype=np.float64,
+                ndmin=2,
+            )
+    except (OSError, ValueError, csv.Error):
+        return None
+    if (
+        table.shape[1] != len(header)
+        or not np.isfinite(table).all()
+        or not np.isin(table[:, header.index(LABEL_COLUMN)], (0.0, 1.0)).all()
+    ):
+        return None
+    return header, table
+
+
+def _record_table(path: str, expect_schema: bool) -> tuple[list[str], np.ndarray]:
+    """The header and table read record by record through the csv module; raises on bad data."""
     values = array("d")
     # utf-8-sig drops the byte-order mark spreadsheet tools put before the first header name
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: file is empty")
-            header = [h.strip() for h in header]
-            if expect_schema and tuple(header) != TRANSACTION_SCHEMA:
-                raise ValueError(
-                    f"{path}: header does not match the expected transactions schema"
-                )
-            repeated = next((h for h in header if header.count(h) > 1), None)
-            if repeated is not None:
-                raise ValueError(f"{path}: header repeats column {repeated!r}")
-            if LABEL_COLUMN not in header:
-                raise ValueError(f"{path}: no '{LABEL_COLUMN}' column in header")
-            if not set(header) - {LABEL_COLUMN, TIME_COLUMN}:
-                raise ValueError(f"{path}: no feature columns in header")
+            header = _read_header(reader, path, expect_schema)
             n_cols = len(header)
             lines = [reader.line_num + 1]  # lines[r]: the line data record r starts on
             for row in reader:
@@ -268,20 +340,12 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
             f"{path}: line {lines[r]}: column {header[c]!r} has non-finite value "
             f"{str(table[r, c])!r}"
         )
-    label_col = header.index(LABEL_COLUMN)
-    raw_labels = table[:, label_col]
+    raw_labels = table[:, header.index(LABEL_COLUMN)]
     bad = ~np.isin(raw_labels, (0.0, 1.0))
     if np.any(bad):
         r = int(np.nonzero(bad)[0][0])
         raise ValueError(f"{path}: line {lines[r]}: label {float(raw_labels[r])!r} is not 0 or 1")
-    time_col = header.index(TIME_COLUMN) if TIME_COLUMN in header else -1
-    feature_cols = [i for i in range(n_cols) if i not in (label_col, time_col)]
-    return Dataset(
-        features=table[:, feature_cols],
-        labels=raw_labels.astype(np.int64),
-        feature_names=tuple(header[i] for i in feature_cols),
-        time=table[:, time_col] if time_col >= 0 else None,
-    )
+    return header, table
 
 
 def save_csv(ds: Dataset, path: str) -> None:

@@ -258,6 +258,8 @@ def run_protocol(
         train_rows, test_rows = split(res.dataset, split_spec)
         train_ds = res.dataset.take(train_rows)
         test_ds = res.dataset.take(test_rows)
+        notes = res.notes
+        del scaled, res  # nothing reads the whole scaled or resampled set after the split
     elif protocol == "clean":
         train_rows, test_rows = split(ds, split_spec)
         params = fit_scaler(ds, train_rows, scaler)
@@ -265,6 +267,8 @@ def run_protocol(
         res = apply_resampler(scaled.take(train_rows), resampler)
         train_ds = res.dataset
         test_ds = scaled.take(test_rows)
+        notes = res.notes
+        del scaled
     else:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
 
@@ -278,5 +282,5 @@ def run_protocol(
         report=report,
         contamination=contamination,
         history=history,
-        notes=res.notes,
+        notes=notes,
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from leakbench.data import (
     SynthConfig,
     TIME_SPAN_SECONDS,
     TRANSACTION_SCHEMA,
+    _plain_table,
+    _record_table,
     expand_features,
     generate_synthetic,
     load_csv,
@@ -261,6 +264,10 @@ def test_load_csv_errors(tmp_path) -> None:
     big.write_text("a" * 200_000 + ",Class\n1,0\n")
     with pytest.raises(ValueError, match="big.csv: line 1: field larger than field limit"):
         load_csv(str(big))
+    # a long zero is finite, so only the line length keeps it from numpy's parser
+    big.write_text("a,Class\n" + "0" * 200_000 + ",0\n")
+    with pytest.raises(ValueError, match="big.csv: line 2: field larger than field limit"):
+        load_csv(str(big))
 
     # a file that is not UTF-8 names the path; the decoder reads in chunks, so no line
     cp1252 = tmp_path / "cp1252.csv"
@@ -273,9 +280,21 @@ def test_load_csv_errors(tmp_path) -> None:
     with pytest.raises(ValueError, match="line 3: expected 2 columns, got 3"):
         load_csv(str(ragged))
 
+    # numpy's parser skips blank lines; a blank line is a record of no columns here
+    for text in ("a,Class\n1,0\n\n2,1\n", "a,Class\n1,0\n\n"):
+        blank = tmp_path / "blank.csv"
+        blank.write_text(text)
+        with pytest.raises(ValueError, match="blank.csv: line 3: expected 2 columns, got 0"):
+            load_csv(str(blank))
+
     non_numeric = tmp_path / "non_numeric.csv"
     non_numeric.write_text("a,Class\n1,0\nfoo,1\n")
     with pytest.raises(ValueError, match="line 3: column 'a' has non-numeric value 'foo'"):
+        load_csv(str(non_numeric))
+    # numpy's parser strips \x1c-\x1f as whitespace; float() does not
+    non_numeric.write_text("a,Class\n9\x1c,0\n")
+    message = "line 2: column 'a' has non-numeric value '9\\x1c'"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_csv(str(non_numeric))
 
     # the bad cell follows a numeric one on its line and still names its own column
@@ -308,9 +327,11 @@ def test_load_csv_errors(tmp_path) -> None:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_csv(str(multi_line))
 
+    # numpy's parser warns on input without data; the load only raises
     header_only = tmp_path / "header_only.csv"
     header_only.write_text("a,Class\n")
-    with pytest.raises(ValueError, match="no data rows"):
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="no data rows"):
+        warnings.simplefilter("error")
         load_csv(str(header_only))
 
 
@@ -346,17 +367,19 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path) -> None:
     assert ds.time is not None
 
 
-def _spelling(rng: random.Random, value: int) -> str:
-    """An integer in one of the spellings float() accepts."""
-    if value >= 1000 and rng.random() < 0.3:
+def _spelling(rng: random.Random, value: int, plain: bool) -> str:
+    """An integer in one of the spellings float() accepts; no underscores if plain."""
+    if value >= 1000 and not plain and rng.random() < 0.3:
         return f"{value:_}"
     if value % 1000 == 0 and rng.random() < 0.3:
         return f"+{value // 1000}e3"
     return rng.choice(["", " "]) + str(value)
 
 
-def _quoted(rng: random.Random, cell: str) -> tuple[str, str]:
-    """The cell as written to the file, quoted at random, and as the csv module reads it."""
+def _quoted(rng: random.Random, cell: str, plain: bool) -> tuple[str, str]:
+    """The cell as written to the file, quoted at random unless plain, and as read back."""
+    if plain:
+        return cell, cell
     roll = rng.random()
     if roll < 0.15:
         cell = rng.choice([f"{cell}\n", f"\n{cell}"])  # only quotes keep the newline
@@ -365,11 +388,12 @@ def _quoted(rng: random.Random, cell: str) -> tuple[str, str]:
     return cell, cell
 
 
-def _generated_csv(rng: random.Random, fault: str | None):
+def _generated_csv(rng: random.Random, fault: str | None, plain: bool = False):
     """A labelled CSV text with at most one planted fault, its table, and the expected error.
 
     The generator counts lines as it writes them, so the line an error must
-    name does not come from the reader under test.
+    name does not come from the reader under test.  A plain text has no
+    quotes and no underscores, so numpy's parser may read it.
     """
     names = [f"V{j}" for j in range(1, rng.randint(1, 4) + 1)] + ["Class"]
     if rng.random() < 0.5:
@@ -385,14 +409,14 @@ def _generated_csv(rng: random.Random, fault: str | None):
     r = rng.randrange(len(table))
     c = label if fault == "label" else rng.randrange(len(names))
     bad = {"non_numeric": "x7", "inf": "inf", "label": "3"}
-    records = [list(names)] + [[_spelling(rng, int(v)) for v in row] for row in table]
+    records = [list(names)] + [[_spelling(rng, int(v), plain) for v in row] for row in table]
     if fault == "short":
         del records[r + 1][-1]
     elif fault is not None:
         records[r + 1][c] = bad[fault]
     text, line, message = "", 1, None
     for i, record in enumerate(records):
-        written, read = zip(*(_quoted(rng, cell) for cell in record))
+        written, read = zip(*(_quoted(rng, cell, plain) for cell in record))
         if i == r + 1 and fault is not None:
             cell = read[c] if fault == "non_numeric" else None  # the planted cell as read back
             message = f"line {line}: " + {
@@ -406,27 +430,103 @@ def _generated_csv(rng: random.Random, fault: str | None):
     return names, table, text, message
 
 
+# Edits that numpy's parser and the csv module may read differently: blank and space-only
+# lines, quotes, underscores, comments, separators numpy strips as whitespace, an em space,
+# an Arabic-Indic three, a byte-order mark, CR and the non-finite spellings.
+_INSERTS = (
+    "\n", " \n", "  \n", '"', '"7\n"', '"7"', "_", "#", ",", " ", "\r", "\ufeff",
+    "\x1c", "\x1d", "\x1e", "\x1f", "\u2003", "\u0663", "-", "e", ".",
+)
+_CELLS = ("nan", "inf", "-inf", "1_000", "\u0663", "", " ", "1e400", "1e-400", "-0", "+.5e1")
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    """The text after one to three random edits."""
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        at = rng.randrange(len(text) + 1)
+        if roll < 0.3:  # most often at a line end, where a trailing cell or line goes
+            at = text.find("\n", at) % (len(text) + 1)  # -1, no line end left: the end
+        if roll < 0.6:
+            text = text[:at] + rng.choice(_INSERTS) + text[at:]
+        elif roll < 0.8:
+            cell = rng.choice(list(re.finditer(r"[0-9]+", text)) or [None])
+            if cell is not None:
+                text = text[: cell.start()] + rng.choice(_CELLS) + text[cell.end() :]
+        elif roll < 0.83:
+            text = text.replace("\n", "\r\n")
+        elif roll < 0.86:
+            text = text.replace("\n", "\r", 1)  # the header alone ends in a bare CR
+        elif roll < 0.9:
+            text += "\n"
+        else:
+            text = text[:at] + text[at + 1 :]
+    return text
+
+
+def _readers_agree(path) -> bool:
+    """Assert that the fast path declines the file or returns the record parser's exact table,
+    and that load_csv returns that table's columns or raises the record parser's error.
+    Returns whether the fast path took the file."""
+    try:
+        header, table = _record_table(str(path), False)
+    except ValueError as exc:
+        assert _plain_table(str(path), False) is None
+        with pytest.raises(ValueError) as raised:
+            load_csv(str(path))
+        assert str(raised.value) == str(exc)
+        return False
+    fast = _plain_table(str(path), False)
+    if fast is not None:
+        assert fast[0] == header
+        assert fast[1].shape == table.shape and fast[1].tobytes() == table.tobytes()
+    ds = load_csv(str(path))
+    features = [j for j, name in enumerate(header) if name not in ("Class", "Time")]
+    assert ds.feature_names == tuple(header[j] for j in features)
+    assert ds.features.shape == (len(table), len(features))
+    assert ds.features.tobytes() == np.ascontiguousarray(table[:, features]).tobytes()
+    assert ds.labels.tobytes() == table[:, header.index("Class")].astype(np.int64).tobytes()
+    if "Time" in header:
+        assert ds.time.tobytes() == np.ascontiguousarray(table[:, header.index("Time")]).tobytes()
+    else:
+        assert ds.time is None
+    return fast is not None
+
+
 def test_load_csv_property(tmp_path) -> None:
-    """Generated files load to the written table, or fail naming the planted fault's line."""
+    """Generated files load to the written table, or fail naming the planted fault's line.
+
+    Each file, a mutated copy of it and two mutated copies of a fault-free plain file also go
+    through both readers, which must agree.
+    """
     path = tmp_path / "generated.csv"
+    taken = 0
     for seed in range(300):
         rng = random.Random(seed)
         fault = rng.choice([None, "short", "non_numeric", "inf", "label"])
-        names, table, text, message = _generated_csv(rng, fault)
-        path.write_text(text, encoding=rng.choice(["utf-8", "utf-8-sig"]))
+        names, table, text, message = _generated_csv(rng, fault, plain=rng.random() < 0.5)
+        encoding = rng.choice(["utf-8", "utf-8-sig"])
+        path.write_text(text, encoding=encoding)
+        taken += _readers_agree(path)
         if message is not None:
             with pytest.raises(ValueError, match=re.escape(f"generated.csv: {message}")):
                 load_csv(str(path))
-            continue
-        ds = load_csv(str(path))
-        features = [j for j, name in enumerate(names) if name not in ("Class", "Time")]
-        assert ds.feature_names == tuple(names[j] for j in features)
-        np.testing.assert_array_equal(ds.features, table[:, features])
-        np.testing.assert_array_equal(ds.labels, table[:, names.index("Class")])
-        if "Time" in names:
-            np.testing.assert_array_equal(ds.time, table[:, names.index("Time")])
         else:
-            assert ds.time is None
+            ds = load_csv(str(path))
+            features = [j for j, name in enumerate(names) if name not in ("Class", "Time")]
+            assert ds.feature_names == tuple(names[j] for j in features)
+            np.testing.assert_array_equal(ds.features, table[:, features])
+            np.testing.assert_array_equal(ds.labels, table[:, names.index("Class")])
+            if "Time" in names:
+                np.testing.assert_array_equal(ds.time, table[:, names.index("Time")])
+            else:
+                assert ds.time is None
+        # mutate this file and a fault-free plain one, which numpy's parser would read as it is
+        plain_text = _generated_csv(rng, None, plain=True)[2]
+        for base in (text, plain_text, plain_text):
+            path.write_bytes(_mutated(rng, base).encode(encoding))
+            taken += _readers_agree(path)
+    assert taken >= 60  # the fast path is exercised, not only declined
 
 
 def test_csv_round_trip_is_exact(tmp_path) -> None:
