@@ -28,7 +28,7 @@ from .experiment import (
     run_cell,
     run_grid,
 )
-from .metrics import ConfusionMatrix, MetricReport, confusion, evaluate, pr_curve, roc_curve
+from .metrics import ConfusionMatrix, MetricReport, evaluate
 from .model import MlpConfig, MlpModel, bce_loss, forward, init_mlp, train
 from .pipeline import (
     ContaminationReport,
@@ -64,7 +64,6 @@ __all__ = [
     "apply_resampler",
     "bce_loss",
     "compare_to_reference",
-    "confusion",
     "contamination_audit",
     "derive_rng",
     "derive_seed",
@@ -76,8 +75,6 @@ __all__ = [
     "generate_synthetic",
     "init_mlp",
     "load_csv",
-    "pr_curve",
-    "roc_curve",
     "run_cell",
     "run_grid",
     "run_protocol",

@@ -143,7 +143,8 @@ class Dataset:
         if missing:
             raise ValueError(f"unknown feature columns: {', '.join(missing)}")
         cols = [self.feature_names.index(c) for c in names]
-        return replace(self, features=self.features[:, cols], feature_names=tuple(names))
+        # C order; a fancy index gives Fortran order, which __post_init__ would copy again
+        return replace(self, features=self.features.take(cols, axis=1), feature_names=tuple(names))
 
 
 @dataclass

@@ -1,8 +1,10 @@
-"""Confusion-matrix metrics and threshold-sweep curves.
+"""Every metric of one evaluation set from one sorted sweep of its scores.
 
-Ratios with a zero denominator are reported as None (rendered "n/a"
-downstream), never silently as 0.  Curve sweeps group tied scores into
-a single threshold step.
+`evaluate` sorts the scores once and reads the confusion matrix at the
+threshold, the ROC curve and the precision-recall curve off the same
+cumulative counts, one step per group of tied scores.  Ratios with a zero
+denominator are reported as None (rendered "n/a" downstream), never
+silently as 0.
 """
 
 from __future__ import annotations
@@ -16,10 +18,7 @@ __all__ = [
     "MetricReport",
     "ScalarMetrics",
     "compute_metrics",
-    "confusion",
     "evaluate",
-    "pr_curve",
-    "roc_curve",
 ]
 
 
@@ -56,27 +55,6 @@ class MetricReport:
     average_precision: float
 
 
-def _check_binary(values: np.ndarray, what: str) -> np.ndarray:
-    values = np.asarray(values)
-    bad = (values != 0) & (values != 1)
-    if np.any(bad):
-        raise ValueError(f"{what} must be 0 or 1")
-    return values.astype(np.int64)
-
-
-def confusion(labels: np.ndarray, preds: np.ndarray) -> ConfusionMatrix:
-    labels = _check_binary(labels, "labels")
-    preds = _check_binary(preds, "predictions")
-    if labels.shape != preds.shape:
-        raise ValueError("labels and predictions must have the same length")
-    return ConfusionMatrix(
-        tp=int(np.sum((labels == 1) & (preds == 1))),
-        fp=int(np.sum((labels == 0) & (preds == 1))),
-        tn=int(np.sum((labels == 0) & (preds == 0))),
-        fn=int(np.sum((labels == 1) & (preds == 0))),
-    )
-
-
 def _ratio(num: int, den: int) -> float | None:
     return num / den if den > 0 else None
 
@@ -97,72 +75,53 @@ def compute_metrics(cm: ConfusionMatrix) -> ScalarMetrics:
     )
 
 
-def _sweep(labels: np.ndarray, scores: np.ndarray):
-    """Cumulative tp/fp at each distinct score, descending."""
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    # last position of each tied-score group
-    distinct = np.nonzero(np.diff(sorted_scores))[0]
-    ends = np.append(distinct, len(scores) - 1)
-    tps = np.cumsum(sorted_labels)[ends]
-    fps = np.cumsum(1 - sorted_labels)[ends]
-    return tps, fps
+def evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> MetricReport:
+    """Hard metrics at the threshold and both curves, from one sorted sweep.
 
-
-def roc_curve(labels: np.ndarray, scores: np.ndarray):
-    """ROC points and trapezoidal AUC.
-
-    Points run from (0, 0) to (1, 1) with one step per distinct score.
+    The scores are sorted once, descending, and each group of tied scores
+    is one step. The cumulative tp and fp at the end of each group give
+    every number:
+    - the confusion matrix at the threshold, from the groups that score at
+      least the threshold (a prefix of the sweep), so a score exactly equal
+      to the threshold predicts positive;
+    - the ROC points from (0, 0) to (1, 1) and their trapezoidal AUC;
+    - the precision-recall points and the step-sum average precision
+      AP = sum over steps of (R_n - R_{n-1}) * P_n with R_0 = 0, no
+      interpolation.
     Raises if either class is missing.
     """
-    labels = _check_binary(labels, "labels")
+    labels = np.asarray(labels)
+    if np.any((labels != 0) & (labels != 1)):
+        raise ValueError("labels must be 0 or 1")
+    labels = labels.astype(np.int64)
     scores = np.asarray(scores, dtype=np.float64)
+    if labels.shape != scores.shape:
+        raise ValueError("labels and predictions must have the same length")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC requires at least one row of each class")
-    tps, fps = _sweep(labels, scores)
+
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    # last position of each tied-score group, and the rows up to it
+    ends = np.append(np.nonzero(np.diff(sorted_scores))[0], len(scores) - 1)
+    counts = ends + 1
+    tps = np.cumsum(labels[order])[ends]
+    fps = counts - tps
+
+    above = int(np.count_nonzero(sorted_scores[ends] >= threshold))
+    tp, fp = (int(tps[above - 1]), int(fps[above - 1])) if above else (0, 0)
+    cm = ConfusionMatrix(tp=tp, fp=fp, tn=n_neg - fp, fn=n_pos - tp)
+
     fpr = np.concatenate([[0.0], fps / n_neg])
     tpr = np.concatenate([[0.0], tps / n_pos])
-    auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
-    return np.column_stack([fpr, tpr]), auc
-
-
-def pr_curve(labels: np.ndarray, scores: np.ndarray):
-    """Precision-recall points and step-sum average precision.
-
-    AP = sum over thresholds of (R_n - R_{n-1}) * P_n, with R_0 = 0;
-    no interpolation.  Raises if there are no positive rows.
-    """
-    labels = _check_binary(labels, "labels")
-    scores = np.asarray(scores, dtype=np.float64)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        raise ValueError("PR curve requires at least one positive row")
-    tps, fps = _sweep(labels, scores)
-    recall = tps / n_pos
-    precision = tps / (tps + fps)
-    ap = float(np.sum(np.diff(np.concatenate([[0.0], recall])) * precision))
-    return np.column_stack([recall, precision]), ap
-
-
-def evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> MetricReport:
-    """Hard metrics at the threshold plus both curves.
-
-    A score exactly equal to the threshold predicts positive.
-    """
-    labels = _check_binary(labels, "labels")
-    scores = np.asarray(scores, dtype=np.float64)
-    preds = (scores >= threshold).astype(np.int64)
-    cm = confusion(labels, preds)
-    roc_points, auc = roc_curve(labels, scores)
-    prc_points, ap = pr_curve(labels, scores)
+    precision = tps / counts
     return MetricReport(
         confusion=cm,
         scalars=compute_metrics(cm),
-        roc_points=roc_points,
-        roc_auc=auc,
-        prc_points=prc_points,
-        average_precision=ap,
+        roc_points=np.column_stack([fpr, tpr]),
+        roc_auc=float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)),
+        prc_points=np.column_stack([tpr[1:], precision]),
+        average_precision=float(np.sum(np.diff(tpr) * precision)),
     )

@@ -40,7 +40,7 @@ from leakbench.experiment import (
     emit_report,
     run_grid,
 )
-from leakbench.metrics import compute_metrics, confusion, roc_curve
+from leakbench.metrics import evaluate
 from leakbench.model import MlpConfig, MlpModel, init_mlp, loss_and_grad
 from leakbench.pipeline import SplitSpec, split
 from leakbench.resample import ResamplerSpec, apply_resampler
@@ -196,15 +196,13 @@ def test_acceptance_all_negative_baseline():
             class_separation=2.0, seed=7,
         )
     )
-    acc = compute_metrics(confusion(ds.labels, np.zeros(ds.n_rows, dtype=np.int64))).accuracy
+    acc = evaluate(ds.labels, np.zeros(ds.n_rows), 0.5).scalars.accuracy
     ok = acc == 1.0 - 0.005
     parts = [f"synthetic all-negative accuracy {acc} equals 1 - positive_rate exactly"]
 
     if REAL_DATA:
         real = load_csv(REAL_DATA, expect_schema=True)
-        real_acc = compute_metrics(
-            confusion(real.labels, np.zeros(real.n_rows, dtype=np.int64))
-        ).accuracy
+        real_acc = evaluate(real.labels, np.zeros(real.n_rows), 0.5).scalars.accuracy
         ok = ok and abs(real_acc - 0.9983) <= 0.0001
         parts.append(f"real-data accuracy {real_acc:.5f} within 0.9983 +/- 0.0001")
     else:
@@ -273,7 +271,7 @@ def _auc_failures() -> tuple[int, list[str]]:
         scores = rng.random(n)
         if checked % 2 == 0:
             scores = np.round(scores, 1)  # force score ties
-        _, auc = roc_curve(labels, scores)
+        auc = evaluate(labels, scores, 0.5).roc_auc
         pos, neg = scores[labels == 1], scores[labels == 0]
         wins = (pos[:, None] > neg[None, :]).sum()
         ties = (pos[:, None] == neg[None, :]).sum()
@@ -460,7 +458,7 @@ def test_acceptance_property_suites():
 
 
 def _normalized_report(path) -> str:
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     payload["total_wall_time_s"] = 0.0
     for cell in payload["cells"]:
         cell["wall_time_s"] = 0.0

@@ -47,7 +47,7 @@ def base_doc(out_dir: str, **overrides) -> dict:
 def write_config(tmp_path, **overrides) -> str:
     doc = base_doc(str(tmp_path / "out"), **overrides)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -60,11 +60,11 @@ def test_load_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="config file not found"):
         load_config_file(str(tmp_path / "absent.json"))
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config_file(str(bad))
     arr = tmp_path / "arr.json"
-    arr.write_text("[1, 2]")
+    arr.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError, match="must hold a JSON object"):
         load_config_file(str(arr))
     latin = tmp_path / "latin.json"
@@ -226,7 +226,7 @@ def test_bad_values_are_config_errors_in_every_subcommand(tmp_path, capsys, path
     with pytest.raises(ConfigError, match=re.escape(message)):
         build_grid_config(doc)
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
     for command in ("run", "audit", "curves"):
         assert main([command, "--config", str(cfg)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -349,7 +349,7 @@ def test_bad_config_exits_two(tmp_path, capsys):
     doc = base_doc(str(tmp_path / "out"))
     del doc["seeds"]
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 2
     assert "missing required key(s): seeds" in capsys.readouterr().err
 
@@ -374,7 +374,7 @@ def test_run_writes_reports_and_exits_zero(tmp_path, capsys):
         assert (out_dir / name).exists()
         assert f"wrote {out_dir / name}" in captured.out
     assert "8 cells, 0 failed," in captured.out
-    payload = json.loads((out_dir / "report.json").read_text())
+    payload = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     assert payload["n_failed_cells"] == 0
     assert len(payload["cells"]) == 8
 
@@ -384,7 +384,7 @@ def test_run_seed_and_out_overrides(tmp_path, capsys):
     other = tmp_path / "other"
     assert main(["run", "--config", cfg, "--seed", "42", "--out", str(other)]) == 0
     capsys.readouterr()
-    payload = json.loads((other / "report.json").read_text())
+    payload = json.loads((other / "report.json").read_text(encoding="utf-8"))
     assert payload["config"]["seeds"] == [42]
     assert len(payload["cells"]) == 4  # 2 widths x 2 protocols x 1 seed
 
@@ -415,7 +415,7 @@ def test_run_with_failing_cells_exits_one(tmp_path, capsys):
         "> k_neighbors (4 <= 5)" in captured.err
     )
     assert "8 cells, 4 failed," in captured.out
-    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    payload = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert payload["n_failed_cells"] == 4
 
 
@@ -434,7 +434,7 @@ def test_flags_left_out_keep_the_config_values(tmp_path, capsys):
     cfg = write_config(tmp_path, allow_quadratic=True)
     assert main(["run", "--config", cfg, "--seed", "3", "--formats", "json"]) == 0
     capsys.readouterr()
-    echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    echo = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["config"]
     assert echo["allow_quadratic"] is True
     assert echo["seeds"] == [3]
     assert echo["formats"] == ["json"]
@@ -448,7 +448,7 @@ def test_run_on_csv_dataset_via_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LEAKBENCH_DATA", str(csv_path))
     assert main(["run", "--config", cfg]) == 0
     capsys.readouterr()
-    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    payload = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert payload["config"]["dataset"]["csv"]["path"] == str(csv_path)
 
 
@@ -456,11 +456,11 @@ def test_run_on_csv_with_non_finite_value_exits_two(tmp_path, capsys):
     ds = generate_synthetic(SynthConfig(n_samples=120, positive_rate=0.2, n_features=3, seed=4))
     csv_path = tmp_path / "rows.csv"
     save_csv(ds, str(csv_path))
-    lines = csv_path.read_text().splitlines()
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
     cells = lines[5].split(",")
     cells[1] = "nan"
     lines[5] = ",".join(cells)
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     header = lines[0].split(",")
     cfg = write_config(tmp_path, dataset={"csv": {"path": str(csv_path)}}, n_values=[0], seeds=[1])
     assert main(["run", "--config", cfg]) == 2
@@ -471,7 +471,7 @@ def test_run_on_csv_with_non_finite_value_exits_two(tmp_path, capsys):
 def test_run_on_csv_the_csv_module_rejects_exits_two(tmp_path, capsys):
     # the csv module's own errors are input errors too, not a traceback with exit 1
     csv_path = tmp_path / "big.csv"
-    csv_path.write_text("V1,Class\n" + "1" * 200_000 + ",0\n")
+    csv_path.write_text("V1,Class\n" + "1" * 200_000 + ",0\n", encoding="utf-8")
     cfg = write_config(tmp_path, dataset={"csv": {"path": str(csv_path)}}, n_values=[0], seeds=[1])
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
@@ -521,7 +521,8 @@ def test_audit_and_curves_run_the_grid_cells_they_name(tmp_path, capsys):
     assert main(["audit", "--config", cfg]) == 0
     assert main(["curves", "--config", cfg]) == 0
     audit_lines = capsys.readouterr().out.splitlines()
-    cells = {c["key"]: c for c in json.loads((grid_out / "report.json").read_text())["cells"]}
+    report = json.loads((grid_out / "report.json").read_text(encoding="utf-8"))
+    cells = {c["key"]: c for c in report["cells"]}
     for protocol in ("leaky", "clean"):
         con = cells[f"N2_{protocol}_s0"]["contamination"]
         counters = (f"{name}={format_value(con[name])}" for name in COUNTER_NAMES)
@@ -565,7 +566,7 @@ def test_curves_writes_four_files(tmp_path, capsys):
     ]
     assert sorted(p.name for p in curves.iterdir()) == expected
     assert captured.out.count("wrote ") == 4
-    header = (curves / "N0_leaky_s0_roc.csv").read_text().splitlines()[0]
+    header = (curves / "N0_leaky_s0_roc.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "fpr,tpr"
 
 
@@ -576,7 +577,7 @@ def test_generate_writes_csv(tmp_path, capsys):
     path = tmp_path / "out" / "synthetic.csv"
     assert path.exists()
     assert f"wrote {path} (160 rows, 16 positive)" in out
-    header = path.read_text().splitlines()[0]
+    header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("Time,") and header.endswith(",Class")
 
 
@@ -628,7 +629,7 @@ def test_report_writes_utf8_under_an_ascii_locale(tmp_path, capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "leakbench.cli", "report", "--config", str(cfg)],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -659,7 +660,7 @@ def test_unencodable_text_is_quoted_in_the_error(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "leakbench.cli", "run", "--config", str(cfg)],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             env=env,
         )
         assert proc.returncode == 2, proc.stderr
@@ -698,7 +699,7 @@ def test_report_refuses_a_payload_that_is_not_a_report(tmp_path, capsys, payload
     cfg = write_config(tmp_path)
     source = tmp_path / "out" / "report.json"
     source.parent.mkdir()
-    source.write_text(json.dumps(payload))
+    source.write_text(json.dumps(payload), encoding="utf-8")
     stored = source.read_bytes()
     assert main(["report", "--config", cfg]) == 2
     assert f"error: {source} is not a version-1 leakbench report" in capsys.readouterr().err
@@ -730,7 +731,7 @@ def test_installed_console_script():
     proc = subprocess.run(
         [sys.executable, "-m", "leakbench.cli", "help"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0
     assert "usage: leakbench" in proc.stdout

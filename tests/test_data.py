@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,6 +69,20 @@ def test_select_columns() -> None:
     np.testing.assert_array_equal(sub.features, ds.features[:, [2, 0]])
     with pytest.raises(ValueError, match="unknown feature columns: V9"):
         ds.select_columns(["V1", "V9"])
+
+
+def test_select_columns_copies_the_features_once() -> None:
+    rng = np.random.default_rng(22)
+    ds = make_dataset(rng.standard_normal((20_000, 30)), rng.integers(0, 2, 20_000))
+    names = [f"V{j}" for j in range(30, 10, -1)]
+    tracemalloc.start()
+    try:
+        sub = ds.select_columns(names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(sub.features, ds.features[:, 29:9:-1])
+    assert peak <= 1.5 * sub.features.nbytes
 
 
 def test_row_origin_defaults_to_originals() -> None:
@@ -211,7 +226,7 @@ def test_synth_config_validation() -> None:
 
 def test_load_csv_hand_written(tmp_path) -> None:
     path = tmp_path / "tiny.csv"
-    path.write_text("Time,V1,Amount,Class\n10.0,0.5,99.25,0\n20.0,-1.5,3.0,1\n")
+    path.write_text("Time,V1,Amount,Class\n10.0,0.5,99.25,0\n20.0,-1.5,3.0,1\n", encoding="utf-8")
     ds = load_csv(str(path))
     assert ds.feature_names == ("V1", "Amount")
     np.testing.assert_array_equal(ds.features, [[0.5, 99.25], [-1.5, 3.0]])
@@ -221,7 +236,7 @@ def test_load_csv_hand_written(tmp_path) -> None:
 
 def test_load_csv_without_time_column(tmp_path) -> None:
     path = tmp_path / "no_time.csv"
-    path.write_text("a,b,Class\n1,2,0\n3,4,1\n")
+    path.write_text("a,b,Class\n1,2,0\n3,4,1\n", encoding="utf-8")
     ds = load_csv(str(path))
     assert ds.time is None
     assert ds.feature_names == ("a", "b")
@@ -229,43 +244,43 @@ def test_load_csv_without_time_column(tmp_path) -> None:
 
 def test_load_csv_errors(tmp_path) -> None:
     empty = tmp_path / "empty.csv"
-    empty.write_text("")
+    empty.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="file is empty"):
         load_csv(str(empty))
 
     no_label = tmp_path / "no_label.csv"
-    no_label.write_text("a,b\n1,2\n")
+    no_label.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no 'Class' column"):
         load_csv(str(no_label))
     # a blank first line is a header with no names, not an empty file
-    no_label.write_text("\na,Class\n1,0\n")
+    no_label.write_text("\na,Class\n1,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no 'Class' column"):
         load_csv(str(no_label))
 
     # a repeated name would turn the label or the timestamp into a feature
     for header, name in (("Time,V1,Class,Class", "Class"), ("Time,V1,Time,Class", "Time")):
         repeated = tmp_path / "repeated.csv"
-        repeated.write_text(f"{header}\n1,2,3,0\n")
+        repeated.write_text(f"{header}\n1,2,3,0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"header repeats column '{name}'"):
             load_csv(str(repeated))
 
     # the label and the time axis alone leave the model nothing to read
     for header in ("Time,Class", "Class"):
         no_features = tmp_path / "no_features.csv"
-        no_features.write_text(f"{header}\n1,0\n")
+        no_features.write_text(f"{header}\n1,0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no_features.csv: no feature columns in header"):
             load_csv(str(no_features))
 
     # errors of the csv module itself name the file and the line, in the header and the rows
     big = tmp_path / "big.csv"
-    big.write_text("a,Class\n" + "1" * 200_000 + ",0\n")
+    big.write_text("a,Class\n" + "1" * 200_000 + ",0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="big.csv: line 2: field larger than field limit"):
         load_csv(str(big))
-    big.write_text("a" * 200_000 + ",Class\n1,0\n")
+    big.write_text("a" * 200_000 + ",Class\n1,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="big.csv: line 1: field larger than field limit"):
         load_csv(str(big))
     # a long zero is finite, so only the line length keeps it from numpy's parser
-    big.write_text("a,Class\n" + "0" * 200_000 + ",0\n")
+    big.write_text("a,Class\n" + "0" * 200_000 + ",0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="big.csv: line 2: field larger than field limit"):
         load_csv(str(big))
 
@@ -276,43 +291,43 @@ def test_load_csv_errors(tmp_path) -> None:
         load_csv(str(cp1252))
 
     ragged = tmp_path / "ragged.csv"
-    ragged.write_text("a,Class\n1,0\n1,0,9\n")
+    ragged.write_text("a,Class\n1,0\n1,0,9\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 3: expected 2 columns, got 3"):
         load_csv(str(ragged))
 
     # numpy's parser skips blank lines; a blank line is a record of no columns here
     for text in ("a,Class\n1,0\n\n2,1\n", "a,Class\n1,0\n\n"):
         blank = tmp_path / "blank.csv"
-        blank.write_text(text)
+        blank.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="blank.csv: line 3: expected 2 columns, got 0"):
             load_csv(str(blank))
 
     non_numeric = tmp_path / "non_numeric.csv"
-    non_numeric.write_text("a,Class\n1,0\nfoo,1\n")
+    non_numeric.write_text("a,Class\n1,0\nfoo,1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 3: column 'a' has non-numeric value 'foo'"):
         load_csv(str(non_numeric))
     # numpy's parser strips \x1c-\x1f as whitespace; float() does not
-    non_numeric.write_text("a,Class\n9\x1c,0\n")
+    non_numeric.write_text("a,Class\n9\x1c,0\n", encoding="utf-8")
     message = "line 2: column 'a' has non-numeric value '9\\x1c'"
     with pytest.raises(ValueError, match=re.escape(message)):
         load_csv(str(non_numeric))
 
     # the bad cell follows a numeric one on its line and still names its own column
     late = tmp_path / "late.csv"
-    late.write_text("a,b,Class\n1.0,abc,0\n")
+    late.write_text("a,b,Class\n1.0,abc,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: column 'b' has non-numeric value 'abc'"):
         load_csv(str(late))
 
     for cell in ("nan", "inf", "-inf"):
         non_finite = tmp_path / "non_finite.csv"
-        non_finite.write_text(f"a,b,Class\n1,2,0\n3,{cell},1\n")
+        non_finite.write_text(f"a,b,Class\n1,2,0\n3,{cell},1\n", encoding="utf-8")
         with pytest.raises(
             ValueError, match=f"line 3: column 'b' has non-finite value '{cell}'"
         ):
             load_csv(str(non_finite))
 
     bad_label = tmp_path / "bad_label.csv"
-    bad_label.write_text("a,Class\n1,0\n2,3\n")
+    bad_label.write_text("a,Class\n1,0\n2,3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 3: label 3.0 is not 0 or 1"):
         load_csv(str(bad_label))
 
@@ -323,13 +338,13 @@ def test_load_csv_errors(tmp_path) -> None:
         ("2,3", "line 4: label 3.0 is not 0 or 1"),
     ):
         multi_line = tmp_path / "multi_line.csv"
-        multi_line.write_text(f'a,Class\n"1\n",0\n{body}\n')
+        multi_line.write_text(f'a,Class\n"1\n",0\n{body}\n', encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_csv(str(multi_line))
 
     # numpy's parser warns on input without data; the load only raises
     header_only = tmp_path / "header_only.csv"
-    header_only.write_text("a,Class\n")
+    header_only.write_text("a,Class\n", encoding="utf-8")
     with warnings.catch_warnings(), pytest.raises(ValueError, match="no data rows"):
         warnings.simplefilter("error")
         load_csv(str(header_only))
@@ -338,13 +353,13 @@ def test_load_csv_errors(tmp_path) -> None:
 def test_load_csv_schema_check(tmp_path) -> None:
     good = tmp_path / "schema.csv"
     row = ",".join(["1.0"] * 30 + ["0"])
-    good.write_text(",".join(TRANSACTION_SCHEMA) + "\n" + row + "\n")
+    good.write_text(",".join(TRANSACTION_SCHEMA) + "\n" + row + "\n", encoding="utf-8")
     ds = load_csv(str(good), expect_schema=True)
     assert ds.n_features == 29  # Time and Class are not features
     assert ds.feature_names[:2] == ("V1", "V2")
 
     bad = tmp_path / "off_schema.csv"
-    bad.write_text("a,Class\n1,0\n")
+    bad.write_text("a,Class\n1,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="does not match the expected transactions schema"):
         load_csv(str(bad), expect_schema=True)
 

@@ -355,7 +355,7 @@ def test_emit_report_writes_requested_formats(tmp_path):
     report = run_grid(tiny_grid())
     paths = emit_report(report, str(tmp_path), ("json", "csv", "markdown"))
     assert [p.name for p in paths] == ["report.json", "cells.csv", "summary.md"]
-    payload = json.loads((tmp_path / "report.json").read_text())
+    payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert payload["n_failed_cells"] == 0
 
 
@@ -445,11 +445,11 @@ def test_write_cell_curves(tmp_path):
         f"{good.key}_roc.csv",
         f"{good.key}_roc.svg",
     ]
-    roc_csv = (tmp_path / "curves" / f"{good.key}_roc.csv").read_text()
+    roc_csv = (tmp_path / "curves" / f"{good.key}_roc.csv").read_text(encoding="utf-8")
     assert roc_csv.splitlines()[0] == "fpr,tpr"
     first_point = roc_csv.splitlines()[1].split(",")
     assert float(first_point[0]) == 0.0 and float(first_point[1]) == 0.0
-    svg = (tmp_path / "curves" / f"{good.key}_roc.svg").read_text()
+    svg = (tmp_path / "curves" / f"{good.key}_roc.svg").read_text(encoding="utf-8")
     assert svg.startswith("<svg ") and "polyline" in svg
 
     failed = CellResult(
@@ -470,7 +470,7 @@ def test_emit_from_dict_reproduces_tables(tmp_path):
     report = run_grid(tiny_grid())
     first = tmp_path / "first"
     emit_report(report, str(first), ("json", "csv", "markdown"))
-    payload = json.loads((first / "report.json").read_text())
+    payload = json.loads((first / "report.json").read_text(encoding="utf-8"))
     second = tmp_path / "second"
     emit_from_dict(payload, str(second), ("json", "csv", "markdown"))
     for name in ("report.json", "cells.csv", "summary.md"):
@@ -487,8 +487,8 @@ def test_report_json_is_byte_stable(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     emit_report(run_grid(cfg), str(a_dir), ("json",))
     emit_report(run_grid(cfg), str(b_dir), ("json",))
-    a = json.loads((a_dir / "report.json").read_text())
-    b = json.loads((b_dir / "report.json").read_text())
+    a = json.loads((a_dir / "report.json").read_text(encoding="utf-8"))
+    b = json.loads((b_dir / "report.json").read_text(encoding="utf-8"))
     a_clean = json.dumps(strip_wall_times(a), sort_keys=True, indent=2)
     b_clean = json.dumps(strip_wall_times(b), sort_keys=True, indent=2)
     assert a_clean == b_clean

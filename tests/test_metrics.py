@@ -1,17 +1,19 @@
-"""Metric tests: frozen hand examples plus a rank-statistic AUC oracle."""
+"""Metric tests: frozen hand examples, a rank-statistic AUC oracle, and the
+one-sweep `evaluate` pinned bitwise to the earlier per-metric helpers."""
 
 from __future__ import annotations
+
+import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from leakbench.metrics import (
     ConfusionMatrix,
+    MetricReport,
     compute_metrics,
-    confusion,
     evaluate,
-    pr_curve,
-    roc_curve,
 )
 
 
@@ -23,7 +25,7 @@ from leakbench.metrics import (
 def test_confusion_hand_example() -> None:
     labels = np.array([1, 1, 0, 0, 1, 0])
     preds = np.array([1, 0, 0, 1, 1, 0])
-    cm = confusion(labels, preds)
+    cm = evaluate(labels, preds, threshold=0.5).confusion
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (2, 1, 2, 1)
     assert cm.total == 6
     m = compute_metrics(cm)
@@ -36,11 +38,9 @@ def test_confusion_hand_example() -> None:
 
 def test_confusion_validates_inputs() -> None:
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        confusion(np.array([0, 2]), np.array([0, 1]))
-    with pytest.raises(ValueError, match="predictions must be 0 or 1"):
-        confusion(np.array([0, 1]), np.array([0, 5]))
+        evaluate(np.array([0, 2]), np.array([0.0, 1.0]), 0.5)
     with pytest.raises(ValueError, match="same length"):
-        confusion(np.array([0, 1]), np.array([0, 1, 1]))
+        evaluate(np.array([0, 1]), np.array([0.0, 1.0, 1.0]), 0.5)
 
 
 def test_zero_denominators_become_none() -> None:
@@ -87,7 +87,8 @@ def test_f1_is_harmonic_mean() -> None:
 def test_roc_frozen_example() -> None:
     labels = np.array([0, 0, 1, 1])
     scores = np.array([0.1, 0.4, 0.35, 0.8])
-    points, auc = roc_curve(labels, scores)
+    rep = evaluate(labels, scores, 0.5)
+    points, auc = rep.roc_points, rep.roc_auc
     assert auc == pytest.approx(0.75)
     np.testing.assert_allclose(
         points,
@@ -97,32 +98,32 @@ def test_roc_frozen_example() -> None:
 
 def test_roc_perfect_and_inverted() -> None:
     labels = np.array([1, 1, 0, 0])
-    _, auc = roc_curve(labels, np.array([0.9, 0.8, 0.2, 0.1]))
+    auc = evaluate(labels, np.array([0.9, 0.8, 0.2, 0.1]), 0.5).roc_auc
     assert auc == pytest.approx(1.0)
-    _, auc = roc_curve(labels, np.array([0.1, 0.2, 0.8, 0.9]))
+    auc = evaluate(labels, np.array([0.1, 0.2, 0.8, 0.9]), 0.5).roc_auc
     assert auc == pytest.approx(0.0)
 
 
 def test_roc_all_tied_scores_is_chance() -> None:
     labels = np.array([1, 0, 1, 0, 0])
-    points, auc = roc_curve(labels, np.full(5, 0.7))
-    assert auc == pytest.approx(0.5)
-    np.testing.assert_allclose(points, [[0.0, 0.0], [1.0, 1.0]])
+    rep = evaluate(labels, np.full(5, 0.7), 0.5)
+    assert rep.roc_auc == pytest.approx(0.5)
+    np.testing.assert_allclose(rep.roc_points, [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_roc_requires_both_classes() -> None:
     with pytest.raises(ValueError, match="ROC requires at least one row of each class"):
-        roc_curve(np.array([1, 1]), np.array([0.4, 0.6]))
+        evaluate(np.array([1, 1]), np.array([0.4, 0.6]), 0.5)
     with pytest.raises(ValueError, match="ROC requires at least one row of each class"):
-        roc_curve(np.array([0, 0]), np.array([0.4, 0.6]))
+        evaluate(np.array([0, 0]), np.array([0.4, 0.6]), 0.5)
 
 
 def test_roc_is_scale_invariant() -> None:
     rng = np.random.default_rng(11)
     labels = (rng.random(60) < 0.3).astype(np.int64)
     scores = rng.random(60)
-    _, auc_a = roc_curve(labels, scores)
-    _, auc_b = roc_curve(labels, scores * 100.0 - 3.0)
+    auc_a = evaluate(labels, scores, 0.5).roc_auc
+    auc_b = evaluate(labels, scores * 100.0 - 3.0, 0.5).roc_auc
     assert auc_a == pytest.approx(auc_b, rel=1e-12)
 
 
@@ -150,7 +151,7 @@ def test_roc_auc_equals_pairwise_statistic() -> None:
         scores = rng.random(n)
         if trial % 2 == 0:
             scores = np.round(scores, 1)  # heavy ties
-        _, auc = roc_curve(labels, scores)
+        auc = evaluate(labels, scores, 0.5).roc_auc
         assert abs(auc - mann_whitney_auc(labels, scores)) <= 1e-12
 
 
@@ -162,34 +163,35 @@ def test_roc_auc_equals_pairwise_statistic() -> None:
 def test_pr_frozen_best_ranking() -> None:
     labels = np.array([1, 0, 1])
     scores = np.array([0.9, 0.8, 0.7])
-    points, ap = pr_curve(labels, scores)
-    assert ap == pytest.approx(5 / 6)
-    np.testing.assert_allclose(points, [[0.5, 1.0], [0.5, 0.5], [1.0, 2 / 3]])
+    rep = evaluate(labels, scores, 0.5)
+    assert rep.average_precision == pytest.approx(5 / 6)
+    np.testing.assert_allclose(rep.prc_points, [[0.5, 1.0], [0.5, 0.5], [1.0, 2 / 3]])
 
 
 def test_pr_frozen_worst_ranking() -> None:
     labels = np.array([0, 0, 1, 1])
     scores = np.array([0.4, 0.3, 0.2, 0.1])
-    _, ap = pr_curve(labels, scores)
+    ap = evaluate(labels, scores, 0.5).average_precision
     assert ap == pytest.approx(5 / 12)
 
 
 def test_pr_perfect_ranking_has_ap_one() -> None:
     labels = np.array([1, 1, 0, 0, 0])
     scores = np.array([0.9, 0.8, 0.3, 0.2, 0.1])
-    _, ap = pr_curve(labels, scores)
+    ap = evaluate(labels, scores, 0.5).average_precision
     assert ap == pytest.approx(1.0)
 
 
 def test_pr_requires_positives() -> None:
-    with pytest.raises(ValueError, match="PR curve requires at least one positive row"):
-        pr_curve(np.array([0, 0]), np.array([0.1, 0.2]))
+    # recall has no denominator without positives; the class check stops it first
+    with pytest.raises(ValueError, match="ROC requires at least one row of each class"):
+        evaluate(np.array([0, 0]), np.array([0.1, 0.2]), 0.5)
 
 
 def test_ap_of_random_scores_near_positive_rate() -> None:
     # with all scores tied there is a single step: AP = precision = rate
     labels = np.array([1] * 3 + [0] * 7)
-    _, ap = pr_curve(labels, np.full(10, 0.5))
+    ap = evaluate(labels, np.full(10, 0.5), 0.5).average_precision
     assert ap == pytest.approx(0.3)
 
 
@@ -221,7 +223,7 @@ def test_specificity_complements_fpr_along_roc() -> None:
     rng = np.random.default_rng(13)
     labels = (rng.random(40) < 0.5).astype(np.int64)
     scores = rng.random(40)
-    points, _ = roc_curve(labels, scores)
+    points = evaluate(labels, scores, 0.5).roc_points
     # at every distinct score threshold the hard-prediction specificity
     # must equal 1 - fpr of the matching curve point
     for thr in np.unique(scores):
@@ -230,3 +232,199 @@ def test_specificity_complements_fpr_along_roc() -> None:
             p[0] for p in points if abs(1.0 - rep.scalars.specificity - p[0]) < 1e-12
         ]
         assert fpr_match, thr
+
+
+# ---------------------------------------------------------------------------
+# the one sweep against the per-metric helpers it replaced
+# ---------------------------------------------------------------------------
+
+# The helpers below are the earlier metrics code, kept verbatim as an
+# oracle: `evaluate` used to check the labels in each of them, sort the
+# scores once per curve and count the confusion with four masked sums.
+
+
+def _check_binary(values: np.ndarray, what: str) -> np.ndarray:
+    values = np.asarray(values)
+    bad = (values != 0) & (values != 1)
+    if np.any(bad):
+        raise ValueError(f"{what} must be 0 or 1")
+    return values.astype(np.int64)
+
+
+def confusion(labels: np.ndarray, preds: np.ndarray) -> ConfusionMatrix:
+    labels = _check_binary(labels, "labels")
+    preds = _check_binary(preds, "predictions")
+    if labels.shape != preds.shape:
+        raise ValueError("labels and predictions must have the same length")
+    return ConfusionMatrix(
+        tp=int(np.sum((labels == 1) & (preds == 1))),
+        fp=int(np.sum((labels == 0) & (preds == 1))),
+        tn=int(np.sum((labels == 0) & (preds == 0))),
+        fn=int(np.sum((labels == 1) & (preds == 0))),
+    )
+
+
+def _sweep(labels: np.ndarray, scores: np.ndarray):
+    """Cumulative tp/fp at each distinct score, descending."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    # last position of each tied-score group
+    distinct = np.nonzero(np.diff(sorted_scores))[0]
+    ends = np.append(distinct, len(scores) - 1)
+    tps = np.cumsum(sorted_labels)[ends]
+    fps = np.cumsum(1 - sorted_labels)[ends]
+    return tps, fps
+
+
+def roc_curve(labels: np.ndarray, scores: np.ndarray):
+    """ROC points and trapezoidal AUC.
+
+    Points run from (0, 0) to (1, 1) with one step per distinct score.
+    Raises if either class is missing.
+    """
+    labels = _check_binary(labels, "labels")
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("ROC requires at least one row of each class")
+    tps, fps = _sweep(labels, scores)
+    fpr = np.concatenate([[0.0], fps / n_neg])
+    tpr = np.concatenate([[0.0], tps / n_pos])
+    auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
+    return np.column_stack([fpr, tpr]), auc
+
+
+def pr_curve(labels: np.ndarray, scores: np.ndarray):
+    """Precision-recall points and step-sum average precision.
+
+    AP = sum over thresholds of (R_n - R_{n-1}) * P_n, with R_0 = 0;
+    no interpolation.  Raises if there are no positive rows.
+    """
+    labels = _check_binary(labels, "labels")
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos = int(labels.sum())
+    if n_pos == 0:
+        raise ValueError("PR curve requires at least one positive row")
+    tps, fps = _sweep(labels, scores)
+    recall = tps / n_pos
+    precision = tps / (tps + fps)
+    ap = float(np.sum(np.diff(np.concatenate([[0.0], recall])) * precision))
+    return np.column_stack([recall, precision]), ap
+
+
+def reference_evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> MetricReport:
+    """Hard metrics at the threshold plus both curves.
+
+    A score exactly equal to the threshold predicts positive.
+    """
+    labels = _check_binary(labels, "labels")
+    scores = np.asarray(scores, dtype=np.float64)
+    preds = (scores >= threshold).astype(np.int64)
+    cm = confusion(labels, preds)
+    roc_points, auc = roc_curve(labels, scores)
+    prc_points, ap = pr_curve(labels, scores)
+    return MetricReport(
+        confusion=cm,
+        scalars=compute_metrics(cm),
+        roc_points=roc_points,
+        roc_auc=auc,
+        prc_points=prc_points,
+        average_precision=ap,
+    )
+
+
+def _bits(rep: MetricReport) -> tuple:
+    """Every field of a report as exact bytes (a float by its IEEE bits)."""
+
+    def number(x):
+        return None if x is None else (type(x), struct.pack("<d", x))
+
+    def array(a):
+        return (a.dtype.str, a.shape, a.tobytes())
+
+    cm = rep.confusion
+    return (
+        tuple((type(v), v) for v in (cm.tp, cm.fp, cm.tn, cm.fn)),
+        tuple(number(v) for v in astuple(rep.scalars)),
+        array(rep.roc_points),
+        number(rep.roc_auc),
+        array(rep.prc_points),
+        number(rep.average_precision),
+    )
+
+
+def _scores(rng: np.random.Generator, n: int, kind: int) -> np.ndarray:
+    if kind == 0:
+        return rng.random(n)
+    if kind == 1:
+        return np.round(rng.random(n), 1)  # heavy ties
+    if kind == 2:
+        return np.full(n, float(rng.choice([0.0, 0.5, 1.0, rng.random()])))  # all tied
+    if kind == 3:
+        return rng.integers(0, 3, n) / 2.0  # only 0, 0.5 and 1
+    if kind == 4:
+        return np.where(rng.random(n) < 0.5, 0.0, -0.0)  # signed zeros tie
+    return np.round(rng.random(n), 3)
+
+
+def _cases(n_draws: int, seed: int):
+    """(labels, scores, threshold) with both classes present."""
+    rng = np.random.default_rng(seed)
+    for draw in range(n_draws):
+        n = int(rng.integers(2, 300))
+        if draw % 7 == 0:
+            labels = np.zeros(n, dtype=np.int64)  # a single positive
+            labels[rng.integers(n)] = 1
+        else:
+            labels = (rng.random(n) < rng.uniform(0.01, 0.99)).astype(np.int64)
+            if labels.min() == labels.max():
+                labels[rng.integers(n)] ^= 1
+        scores = _scores(rng, n, draw % 6)
+        at = float(scores[rng.integers(n)])
+        for threshold in (
+            0.0, 1.0, 0.5, float(rng.random()),
+            at, float(np.nextafter(at, -np.inf)), float(np.nextafter(at, np.inf)),
+        ):
+            yield labels, scores, threshold
+
+
+def test_evaluate_is_bitwise_equal_to_the_per_metric_helpers() -> None:
+    checked = 0
+    for labels, scores, threshold in _cases(1000, seed=16):
+        assert _bits(evaluate(labels, scores, threshold)) == _bits(
+            reference_evaluate(labels, scores, threshold)
+        ), (labels.tolist(), scores.tolist(), threshold)
+        checked += 1
+    assert checked >= 5000
+
+
+def test_evaluate_confusion_equals_masked_counts() -> None:
+    for labels, scores, threshold in _cases(300, seed=17):
+        pred = scores >= threshold
+        cm = evaluate(labels, scores, threshold).confusion
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == (
+            np.count_nonzero(pred & (labels == 1)),
+            np.count_nonzero(pred & (labels == 0)),
+            np.count_nonzero(~pred & (labels == 0)),
+            np.count_nonzero(~pred & (labels == 1)),
+        )
+
+
+def test_evaluate_raises_what_the_helpers_raised() -> None:
+    # labels, then lengths, then both classes, with the same messages
+    cases = [
+        ([0, 2], [0.1, 0.2]),
+        ([0.5, 1], [0.1]),
+        ([0, 1], [0.1, 0.2, 0.3]),
+        ([1, 1], [0.1]),
+        ([1, 1], [0.1, 0.2]),
+        ([0, 0, 0], [0.1, 0.2, 0.3]),
+        ([], []),
+    ]
+    for labels, scores in cases:
+        with pytest.raises(ValueError) as want:
+            reference_evaluate(np.array(labels), np.array(scores), 0.5)
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            evaluate(np.array(labels), np.array(scores), 0.5)
