@@ -12,7 +12,6 @@ from .data import (
     Dataset,
     RowOrigin,
     SynthConfig,
-    expand_features,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -69,7 +68,6 @@ __all__ = [
     "derive_seed",
     "emit_report",
     "evaluate",
-    "expand_features",
     "fit_scaler",
     "forward",
     "generate_synthetic",

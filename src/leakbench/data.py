@@ -1,4 +1,4 @@
-"""Dataset container, CSV ingestion, synthetic data, feature expansion."""
+"""Dataset container, CSV ingestion and writing, synthetic data."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ __all__ = [
     "SYNTHETIC",
     "SynthConfig",
     "TRANSACTION_SCHEMA",
-    "expand_features",
     "generate_synthetic",
     "load_csv",
     "save_csv",
@@ -360,21 +359,3 @@ def save_csv(ds: Dataset, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(names + (LABEL_COLUMN,))
         writer.writerows(row + [label] for row, label in zip(table.tolist(), ds.labels.tolist()))
-
-
-def expand_features(ds: Dataset, degree: int) -> Dataset:
-    """Append pairwise products of the feature columns.
-
-    Degree 1 returns the dataset unchanged; degree 2 appends x_i * x_j
-    for every i <= j, growing d columns to d + d*(d+1)/2.
-    """
-    if degree == 1:
-        return ds
-    if degree != 2:
-        raise ValueError("degree must be 1 or 2")
-    ii, jj = np.triu_indices(ds.n_features)
-    products = ds.features[:, ii] * ds.features[:, jj]
-    names = ds.feature_names + tuple(
-        f"{ds.feature_names[i]}*{ds.feature_names[j]}" for i, j in zip(ii, jj)
-    )
-    return replace(ds, features=np.hstack([ds.features, products]), feature_names=names)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, SynthConfig, expand_features, generate_synthetic, load_csv
+from .data import Dataset, SynthConfig, generate_synthetic, load_csv
 from .metrics import ConfusionMatrix, MetricReport, ScalarMetrics
 from .model import MlpConfig, ModelParams
 from .pipeline import (
@@ -101,6 +101,8 @@ class DatasetSpec:
     csv_path: str | None = None
     expect_schema: bool = False
     columns: tuple[str, ...] | None = None
+    # Echoed into every schema-1 report.json; the field, its check, its echo
+    # line and config.py's key go together at the schema-2 bump.
     feature_degree: int = 1
 
     def __post_init__(self) -> None:
@@ -110,8 +112,8 @@ class DatasetSpec:
             raise ValueError("columns must not be empty")
         if self.columns is not None and len(set(self.columns)) < len(self.columns):
             raise ValueError("columns must not repeat")
-        if self.feature_degree not in (1, 2):
-            raise ValueError("feature_degree must be 1 or 2")
+        if self.feature_degree != 1:
+            raise ValueError("feature_degree must be 1")
 
     def to_dict(self) -> dict:
         if self.synthetic is not None:
@@ -297,7 +299,7 @@ def load_grid_dataset(spec: DatasetSpec) -> Dataset:
         ds = load_csv(spec.csv_path, expect_schema=spec.expect_schema)
     if spec.columns is not None:
         ds = ds.select_columns(spec.columns)
-    return expand_features(ds, spec.feature_degree)
+    return ds
 
 
 def check_quadratic_gate(cfg: GridConfig, n_rows: int) -> None:

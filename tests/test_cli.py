@@ -17,7 +17,7 @@ import pytest
 from leakbench.cli import main
 from leakbench.config import ConfigError, build_grid_config, load_config_file
 from leakbench.data import SynthConfig, generate_synthetic, save_csv
-from leakbench.experiment import COUNTER_NAMES, GridConfig, format_value
+from leakbench.experiment import COUNTER_NAMES, GridConfig, format_value, run_grid
 from leakbench.pipeline import SCALER_METHODS, SPLIT_STRATEGIES
 from leakbench.resample import METHODS
 
@@ -201,6 +201,7 @@ BAD_VALUES = [
     (("dataset", "synthetic", "fraud_burst"), 3, "dataset.synthetic.fraud_burst must be a boolean"),
     (("dataset", "columns"), [], "dataset: columns must not be empty"),
     (("dataset", "columns"), ["V1", "V1"], "dataset: columns must not repeat"),
+    (("dataset", "feature_degree"), 2, "dataset: feature_degree must be 1"),
     (("n_values",), [2, 2], "n_values must not repeat"),
     (("protocols",), ["leaky", "clean", "leaky"], "protocols must not repeat"),
     # json.load parses NaN and Infinity; an untrained model or failed cells would follow
@@ -262,7 +263,7 @@ def random_doc(rng: random.Random) -> dict:
         maybe(csv, "expect_schema", rng.random() < 0.5)
         dataset = {"csv": csv}
     maybe(dataset, "columns", rng.sample(["Time", "V1", "V2", "Amount"], rng.randint(1, 4)))
-    maybe(dataset, "feature_degree", rng.choice([1, 2]))
+    maybe(dataset, "feature_degree", 1)
     resampler = {"method": None if rng.random() < 0.25 else rng.choice(sorted(METHODS))}
     maybe(resampler, "k_neighbors", rng.randint(1, 9))
     maybe(resampler, "m_neighbors", rng.randint(1, 20))
@@ -581,6 +582,33 @@ def test_generate_writes_csv(tmp_path, capsys):
     assert header.startswith("Time,") and header.endswith(",Class")
 
 
+@pytest.mark.parametrize("columns", [None, ["V3", "V1"]])
+def test_generate_then_csv_run_gives_the_synthetic_cells(tmp_path, capsys, columns):
+    # generate writes the grid's dataset after columns, so a csv run on that file
+    # sees the rows, features and times the synthetic run sees, cell by cell
+    dataset = {"synthetic": {"n_samples": 600, "positive_rate": 0.1, "n_features": 4, "seed": 5}}
+    if columns is not None:
+        dataset["columns"] = columns
+    grid = dict(
+        resampler={"method": "smote_enn", "k_neighbors": 3},
+        split={"strategy": "temporal", "test_fraction": 0.25},
+    )
+    synthetic = base_doc(str(tmp_path / "data"), dataset=dataset, **grid)
+    cfg = tmp_path / "synthetic.json"
+    cfg.write_text(json.dumps(synthetic), encoding="utf-8")
+    assert main(["generate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    written = {"csv": {"path": str(tmp_path / "data" / "synthetic.csv")}}
+    from_csv = base_doc(str(tmp_path / "out"), dataset=written, **grid)
+
+    def cells(doc: dict) -> list[str]:
+        report = run_grid(build_grid_config(doc))
+        assert len(report.cells) == 8 and not report.failed_cells
+        return [json.dumps(dict(cell.to_dict(), wall_time_s=0.0)) for cell in report.cells]
+
+    assert cells(from_csv) == cells(synthetic)
+
+
 def test_generate_requires_synthetic_dataset(tmp_path, capsys):
     cfg = write_config(tmp_path, dataset={"csv": {"path": "somewhere.csv"}})
     assert main(["generate", "--config", cfg]) == 2
@@ -609,6 +637,27 @@ def test_report_reemits_from_stored_json(tmp_path, capsys):
     assert (out_dir / "cells.csv").exists()
     assert (out_dir / "summary.md").exists()
     assert captured.out.count("wrote ") == 2
+
+
+def test_report_reemits_a_report_that_echoes_feature_degree_two(tmp_path, capsys):
+    # a report.json written by a degree-2 run echoes "feature_degree": 2; no table
+    # reads the key, so such a report still re-emits its tables byte for byte
+    run_dir = tmp_path / "degree2"
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--out", str(run_dir)]) == 0
+    stored = run_dir / "report.json"
+    text = stored.read_text(encoding="utf-8")
+    assert text.count('"feature_degree": 1') == 1
+    stored.write_text(text.replace('"feature_degree": 1', '"feature_degree": 2'), encoding="utf-8")
+    tables = {name: (run_dir / name).read_bytes() for name in ("cells.csv", "summary.md")}
+    for name in tables:
+        (run_dir / name).unlink()
+    degree_one = base_doc(str(tmp_path / "elsewhere"))
+    degree_one["dataset"]["feature_degree"] = 1
+    (tmp_path / "degree1.json").write_text(json.dumps(degree_one), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--config", str(tmp_path / "degree1.json"), "--out", str(run_dir)]) == 0
+    assert {name: (run_dir / name).read_bytes() for name in tables} == tables
 
 
 def test_report_writes_utf8_under_an_ascii_locale(tmp_path, capsys):

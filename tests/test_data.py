@@ -20,7 +20,6 @@ from leakbench.data import (
     TRANSACTION_SCHEMA,
     _plain_table,
     _record_table,
-    expand_features,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -554,37 +553,3 @@ def test_csv_round_trip_is_exact(tmp_path) -> None:
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.time, ds.time)
     assert back.feature_names == ds.feature_names
-
-
-# ---------------------------------------------------------------------------
-# feature expansion
-# ---------------------------------------------------------------------------
-
-
-def test_expand_degree_one_is_identity() -> None:
-    ds = make_dataset([[1.0, 2.0]], [0])
-    assert expand_features(ds, 1) is ds
-
-
-def test_expand_degree_two_counts_and_names() -> None:
-    ds = make_dataset(np.ones((2, 4)), [0, 1])
-    out = expand_features(ds, 2)
-    assert out.n_features == 4 + 10
-    assert out.feature_names[:4] == ("V1", "V2", "V3", "V4")
-    assert out.feature_names[4:7] == ("V1*V1", "V1*V2", "V1*V3")
-    assert out.feature_names[-1] == "V4*V4"
-
-    wide = make_dataset(np.ones((1, 30)), [0])
-    assert expand_features(wide, 2).n_features == 495
-
-
-def test_expand_degree_two_values() -> None:
-    ds = make_dataset([[2.0, 3.0]], [1])
-    out = expand_features(ds, 2)
-    np.testing.assert_array_equal(out.features, [[2.0, 3.0, 4.0, 6.0, 9.0]])
-
-
-def test_expand_rejects_other_degrees() -> None:
-    ds = make_dataset([[1.0]], [0])
-    with pytest.raises(ValueError, match="degree must be 1 or 2"):
-        expand_features(ds, 3)

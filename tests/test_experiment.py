@@ -73,8 +73,8 @@ def test_dataset_spec_needs_exactly_one_source():
         DatasetSpec()
     with pytest.raises(ValueError, match="exactly one"):
         DatasetSpec(synthetic=SynthConfig(n_samples=100, positive_rate=0.1), csv_path="x.csv")
-    with pytest.raises(ValueError, match="feature_degree"):
-        DatasetSpec(csv_path="x.csv", feature_degree=3)
+    with pytest.raises(ValueError, match="feature_degree must be 1"):
+        DatasetSpec(csv_path="x.csv", feature_degree=2)
 
 
 def test_grid_config_validation():
@@ -225,15 +225,6 @@ def test_quadratic_gate():
 # ---------------------------------------------------------------------------
 # dataset loading
 # ---------------------------------------------------------------------------
-
-
-def test_load_grid_dataset_synthetic_expansion():
-    spec = DatasetSpec(
-        synthetic=SynthConfig(n_samples=100, positive_rate=0.1, n_features=4, seed=0),
-        feature_degree=2,
-    )
-    ds = load_grid_dataset(spec)
-    assert ds.n_features == 4 + 4 * 5 // 2
 
 
 def test_load_grid_dataset_csv_with_column_subset(tmp_path):
