@@ -22,7 +22,6 @@ from .experiment import (
     GridReport,
     ModelParams,
     REFERENCE_RESULTS,
-    compare_to_reference,
     emit_report,
     run_cell,
     run_grid,
@@ -62,7 +61,6 @@ __all__ = [
     "SynthConfig",
     "apply_resampler",
     "bce_loss",
-    "compare_to_reference",
     "contamination_audit",
     "derive_rng",
     "derive_seed",

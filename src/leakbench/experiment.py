@@ -35,18 +35,16 @@ __all__ = [
     "GridReport",
     "ModelParams",
     "REFERENCE_RESULTS",
-    "REFERENCE_TOLERANCE",
-    "ReferenceDeviation",
-    "compare_to_reference",
     "emit_from_dict",
     "emit_report",
     "load_grid_dataset",
+    "run_cell",
     "run_grid",
 ]
 
 # Previously reported single-run leaky-protocol results on the full
-# transactions file, by hidden-layer width; the grid report compares
-# its own medians against these.
+# transactions file, by hidden-layer width.  summary.md compares the
+# leaky f1 medians against these results.
 REFERENCE_RESULTS: dict[int, dict[str, float]] = {
     0: {"accuracy": 0.958, "precision": 0.976, "recall": 0.939, "f1": 0.958},
     1: {"accuracy": 0.959, "precision": 0.985, "recall": 0.932, "f1": 0.957},
@@ -58,9 +56,6 @@ REFERENCE_RESULTS: dict[int, dict[str, float]] = {
     12: {"accuracy": 0.992, "precision": 0.991, "recall": 0.992, "f1": 0.992},
     16: {"accuracy": 0.996, "precision": 0.992, "recall": 0.999, "f1": 0.996},
 }
-
-REFERENCE_METRICS = tuple(REFERENCE_RESULTS[0])
-REFERENCE_TOLERANCE = 0.02
 
 DEFAULT_N_VALUES = tuple(REFERENCE_RESULTS)
 
@@ -374,59 +369,6 @@ def run_grid(cfg: GridConfig) -> GridReport:
         cells=cells,
         total_wall_time_s=time.perf_counter() - started,
     )
-
-
-# ---------------------------------------------------------------------------
-# reference comparison
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReferenceDeviation:
-    n_hidden: int
-    metric: str
-    observed: float
-    expected: float
-    deviation: float
-    within_tolerance: bool
-
-
-def compare_to_reference(
-    report: GridReport, reference: dict[int, dict[str, float]] | None = None
-) -> list[ReferenceDeviation]:
-    """Absolute deviation of leaky medians from the reference grid.
-
-    The report must contain leaky cells for every reference width;
-    missing widths raise with the full list.
-    """
-    ref = REFERENCE_RESULTS if reference is None else reference
-    if "leaky" not in report.config.protocols:
-        raise ValueError("reference comparison needs leaky-protocol cells")
-    missing = sorted(set(ref) - set(report.config.n_values))
-    if missing:
-        raise ValueError(
-            "report is missing leaky cells for widths: "
-            + ", ".join(str(n) for n in missing)
-        )
-    agg = report.aggregates()["leaky"]
-    out = []
-    for n in sorted(ref):
-        for metric in REFERENCE_METRICS:
-            observed = agg[n][metric]["median"]
-            if observed is None:
-                raise ValueError(f"no defined {metric} median for width {n}")
-            dev = abs(observed - ref[n][metric])
-            out.append(
-                ReferenceDeviation(
-                    n_hidden=n,
-                    metric=metric,
-                    observed=observed,
-                    expected=ref[n][metric],
-                    deviation=dev,
-                    within_tolerance=dev <= REFERENCE_TOLERANCE,
-                )
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from leakbench.cli import main
 from leakbench.config import ConfigError, build_grid_config, load_config_file
 from leakbench.data import SynthConfig, generate_synthetic, save_csv
-from leakbench.experiment import COUNTER_NAMES, GridConfig, format_value, run_grid
+from leakbench.experiment import COUNTER_NAMES, REFERENCE_RESULTS, GridConfig, format_value, run_grid
 from leakbench.pipeline import SCALER_METHODS, SPLIT_STRATEGIES
 from leakbench.resample import METHODS
 
@@ -637,6 +637,28 @@ def test_report_reemits_from_stored_json(tmp_path, capsys):
     assert (out_dir / "cells.csv").exists()
     assert (out_dir / "summary.md").exists()
     assert captured.out.count("wrote ") == 2
+
+
+def test_run_compares_the_reference_widths_and_report_reemits_it(tmp_path):
+    # width 3 is not a reference width, and the config lists the widths out of order
+    synthetic = {"n_samples": 400, "positive_rate": 0.05, "n_features": 4, "seed": 5}
+    cfg = write_config(
+        tmp_path,
+        dataset={"synthetic": synthetic},
+        n_values=[16, 3, 0, 1, 2, 4, 6, 8, 10, 12],
+        seeds=[1],
+        model={"epochs": 2},
+    )
+    assert main(["run", "--config", cfg]) == 0
+    summary = tmp_path / "out" / "summary.md"
+    lines = summary.read_text(encoding="utf-8").split("\n")
+    title = lines.index("## Reference comparison (leaky medians vs published reference)")
+    rows = lines[title + 4 : lines.index("", title + 4)]
+    assert [row.split(" | ")[0] for row in rows] == [f"| {n}" for n in sorted(REFERENCE_RESULTS)]
+    stored = summary.read_bytes()
+    summary.unlink()
+    assert main(["report", "--config", cfg, "--formats", "markdown"]) == 0
+    assert summary.read_bytes() == stored
 
 
 def test_report_reemits_a_report_that_echoes_feature_degree_two(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Grid runner, aggregation, reference comparison, and report emission."""
+"""Grid runner, aggregation, and report emission."""
 
 import copy
 import json
@@ -14,7 +14,6 @@ from leakbench.experiment import (
     DEFAULT_N_VALUES,
     METRIC_NAMES,
     QUADRATIC_ROW_LIMIT,
-    REFERENCE_METRICS,
     REFERENCE_RESULTS,
     CellResult,
     DatasetSpec,
@@ -22,7 +21,6 @@ from leakbench.experiment import (
     ModelParams,
     cell_key,
     check_quadratic_gate,
-    compare_to_reference,
     emit_from_dict,
     emit_report,
     load_grid_dataset,
@@ -101,7 +99,7 @@ def test_grid_config_validation():
 def test_reference_table_shape():
     assert tuple(sorted(REFERENCE_RESULTS)) == DEFAULT_N_VALUES
     for row in REFERENCE_RESULTS.values():
-        assert tuple(sorted(row)) == tuple(sorted(REFERENCE_METRICS))
+        assert tuple(row) == ("accuracy", "precision", "recall", "f1")
         assert all(0.9 < v < 1.0 for v in row.values())
 
 
@@ -287,57 +285,6 @@ def test_report_dict_uses_string_keys():
 
 
 # ---------------------------------------------------------------------------
-# reference comparison
-# ---------------------------------------------------------------------------
-
-
-def test_compare_to_reference_zero_deviation_against_self():
-    report = run_grid(tiny_grid())
-    agg = report.aggregates()["leaky"]
-    self_ref = {
-        n: {m: agg[n][m]["median"] for m in REFERENCE_METRICS} for n in (0, 2)
-    }
-    devs = compare_to_reference(report, self_ref)
-    assert len(devs) == 2 * len(REFERENCE_METRICS)
-    assert all(d.deviation == 0.0 and d.within_tolerance for d in devs)
-    assert [d.n_hidden for d in devs] == [0, 0, 0, 0, 2, 2, 2, 2]
-
-
-def test_compare_to_reference_missing_widths():
-    report = run_grid(tiny_grid())
-    with pytest.raises(
-        ValueError, match="missing leaky cells for widths: 1, 4, 6, 8, 10, 12, 16"
-    ):
-        compare_to_reference(report)
-
-
-def test_compare_to_reference_needs_leaky_cells():
-    report = run_grid(tiny_grid(protocols=("clean",)))
-    with pytest.raises(ValueError, match="needs leaky-protocol cells"):
-        compare_to_reference(report, {0: dict.fromkeys(REFERENCE_METRICS, 0.9)})
-    # 6 positives cannot clear k_neighbors=10, so every cell fails and no median exists
-    failing = tiny_grid(
-        dataset=DatasetSpec(
-            synthetic=SynthConfig(n_samples=120, positive_rate=0.05, n_features=3, seed=2)
-        ),
-        resampler=ResamplerSpec(method="smote", k_neighbors=10),
-    )
-    report = run_grid(failing)
-    assert len(report.failed_cells) == len(report.cells)
-    with pytest.raises(ValueError, match="no defined accuracy median for width 0"):
-        compare_to_reference(report, {0: dict.fromkeys(REFERENCE_METRICS, 0.9)})
-
-
-def test_compare_to_reference_flags_large_deviation():
-    report = run_grid(tiny_grid())
-    agg = report.aggregates()["leaky"]
-    skewed = {0: {m: agg[0][m]["median"] + 0.5 for m in REFERENCE_METRICS}}
-    devs = compare_to_reference(report, skewed)
-    assert all(not d.within_tolerance for d in devs)
-    assert all(d.deviation == pytest.approx(0.5) for d in devs)
-
-
-# ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
 
@@ -405,15 +352,26 @@ def test_markdown_summary_content():
 def test_markdown_includes_reference_table_when_widths_cover_it():
     report = run_grid(tiny_grid())
     payload = report.to_dict()
-    # pretend the grid covered the full reference width list
-    payload["config"]["n_values"] = [0, 2]
-    payload["reference"] = {
-        "0": REFERENCE_RESULTS[0],
-        "2": REFERENCE_RESULTS[2],
-    }
+    # pretend the grid covered the full reference width list, with a width 4
+    # whose leaky f1 median is undefined
+    payload["config"]["n_values"] = [0, 2, 4]
+    for protocol in ("leaky", "clean"):
+        payload["aggregates"][protocol]["4"] = copy.deepcopy(payload["aggregates"][protocol]["0"])
+    payload["aggregates"]["leaky"]["4"]["f1"]["median"] = None
+    payload["leakage_gap"]["4"] = dict(payload["leakage_gap"]["0"], leaky_f1=None, gap=None)
+    payload["reference"] = {str(n): REFERENCE_RESULTS[n] for n in (0, 2, 4)}
     md = render_markdown(payload)
-    assert "## Reference comparison (leaky medians vs published reference)" in md
-    assert "| 0 |" in md and "| 2 |" in md
+    lines = md.split("\n")
+    title = lines.index("## Reference comparison (leaky medians vs published reference)")
+    assert lines[title + 2] == "| hidden | f1 observed | f1 reference | abs deviation |"
+    assert lines[title + 3] == "|---|---|---|---|"
+    rows = []
+    for n in (0, 2):
+        observed = payload["aggregates"]["leaky"][str(n)]["f1"]["median"]
+        expected = REFERENCE_RESULTS[n]["f1"]
+        rows.append(f"| {n} | {observed:.4f} | {expected:.4f} | {abs(observed - expected):.4f} |")
+    rows.append(f"| 4 | n/a | {REFERENCE_RESULTS[4]['f1']:.4f} | n/a |")
+    assert lines[title + 4 : title + 8] == [*rows, ""]
 
 
 def test_markdown_names_csv_source(tmp_path):
