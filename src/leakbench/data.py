@@ -69,7 +69,7 @@ class RowOrigin:
         return cls(np.full(len(parent_a), SYNTHETIC), parent_a, parent_b, delta)
 
     def take(self, indices: np.ndarray) -> "RowOrigin":
-        return RowOrigin(*(getattr(self, f.name)[indices] for f in fields(self)))
+        return RowOrigin(*(getattr(self, f.name).take(indices, axis=0) for f in fields(self)))
 
     @classmethod
     def concat(cls, first: "RowOrigin", second: "RowOrigin") -> "RowOrigin":
@@ -130,10 +130,10 @@ class Dataset:
     def take(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(
-            features=self.features[indices],
-            labels=self.labels[indices],
+            features=self.features.take(indices, axis=0),
+            labels=self.labels.take(indices, axis=0),
             feature_names=self.feature_names,
-            time=None if self.time is None else self.time[indices],
+            time=None if self.time is None else self.time.take(indices, axis=0),
             origin=self.origin.take(indices),
         )
 

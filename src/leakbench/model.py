@@ -9,9 +9,12 @@ training is deterministic given the config seed.
 ``n_parameters`` elements, laid out as ``w2, b2, w1, b1``; the layers are
 views into it.  The gradient and both Adam moments share that layout, so
 a step is one backward pass writing into the gradient buffer and one
-Adam update over the whole flat buffer.  Each epoch's shuffled rows are
-gathered once and batches are slices of them.  The arithmetic and its
-order are those of a per-array Adam, so the weights are bitwise the same.
+Adam update over the whole flat buffer.  Each batch's rows are gathered
+from the training set into one batch-sized buffer, and full-set forward
+passes run ``FORWARD_BLOCK`` rows at a time, so training allocates no
+matrix of the training set's size, only vectors of one value per row.
+The arithmetic and its order are those of a per-array Adam, so the
+weights are bitwise the same.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ __all__ = [
 # Predicted probabilities are clamped away from 0 and 1 by this margin,
 # both inside the loss and on the forward output.
 PROB_CLAMP = 1e-12
+# Rows per block of a full-set forward pass; each row's output does not
+# depend on how many rows share its block.
+FORWARD_BLOCK = 4096
 
 
 @dataclass
@@ -146,6 +152,14 @@ def _forward(x: np.ndarray, w2, b2, w1, b1):
     return z1, a1, _sigmoid(a1 @ w2 + b2)
 
 
+def _forward_rows(x: np.ndarray, w2, b2, w1, b1, out: np.ndarray) -> np.ndarray:
+    """Write the probability of every row of ``x`` into ``out``, block by block."""
+    for start in range(0, x.shape[0], FORWARD_BLOCK):
+        stop = start + FORWARD_BLOCK
+        out[start:stop] = _forward(x[start:stop], w2, b2, w1, b1)[2]
+    return out
+
+
 def _backprop(x: np.ndarray, y: np.ndarray, params: tuple, grad: tuple) -> np.ndarray:
     """Write the mean-BCE gradient of one batch into ``grad``; return its probabilities.
 
@@ -169,8 +183,8 @@ def _backprop(x: np.ndarray, y: np.ndarray, params: tuple, grad: tuple) -> np.nd
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Predicted probabilities, clamped into (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
-    _, _, p = _forward(x, model.w2, model.b2, model.w1, model.b1)
-    return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    p = _forward_rows(x, model.w2, model.b2, model.w1, model.b1, np.empty(x.shape[0]))
+    return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
@@ -246,22 +260,24 @@ def train(
     grad = np.empty_like(params)
     grad_layers = _views(grad, cfg)
     m, v = np.zeros_like(params), np.zeros_like(params)
-    # each epoch's shuffled rows, gathered once; batches are slices.  With
-    # out=, mode="raise" would first copy into a temporary of x's size
-    xs, ys = np.empty_like(x), np.empty_like(y)
-    history: list[float] = []
     n = x.shape[0]
+    # each batch's rows are gathered into these; with out=, mode="raise"
+    # would first copy into a temporary of the batch's size
+    batch = min(cfg.batch_size, n)
+    xb, yb = np.empty((batch, x.shape[1])), np.empty(batch)
+    p = np.empty(n)
+    history: list[float] = []
     t = 0
     for epoch in range(cfg.epochs):
         if _permutations is not None:
             perm = np.asarray(_permutations[epoch], dtype=np.int64)
         else:
             perm = rng.permutation(n)
-        np.take(x, perm, axis=0, out=xs, mode="clip")
-        np.take(y, perm, out=ys, mode="clip")
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
-            stop = start + cfg.batch_size
-            _backprop(xs[start:stop], ys[start:stop], layers, grad_layers)
+            rows = perm[start : start + cfg.batch_size]
+            xr = np.take(x, rows, axis=0, out=xb[: len(rows)], mode="clip")
+            yr = np.take(y, rows, out=yb[: len(rows)], mode="clip")
+            _backprop(xr, yr, layers, grad_layers)
             if not math.isfinite(grad_layers[1][0]):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch + 1}, "
@@ -269,5 +285,5 @@ def train(
                 )
             t += 1
             _adam_step(cfg, t, params, grad, m, v)
-        history.append(bce_loss(_forward(x, *layers)[2], y))
+        history.append(bce_loss(_forward_rows(x, *layers, p), y))
     return MlpModel(config=cfg, w1=w1, b1=b1, w2=w2, b2=float(b2[0])), history

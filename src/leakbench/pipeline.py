@@ -176,7 +176,8 @@ def fit_scaler(ds: Dataset, rows: np.ndarray, method: str) -> ScalerParams:
 
 
 def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
-    features = (ds.features - params.center) / params.scale
+    features = ds.features - params.center
+    features /= params.scale
     return replace(ds, features=features)
 
 

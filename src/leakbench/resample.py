@@ -142,12 +142,16 @@ def interpolate(a: np.ndarray, b: np.ndarray, delta) -> np.ndarray:
     """Row(s) or value(s) on the segment from a to b: a + delta * (b - a).
 
     A 1-d ``delta`` holds one coefficient per row of 2-d ``a``/``b``, or
-    one per value of 1-d ``a``/``b``.
+    one per value of 1-d ``a``/``b``.  The result is built in one new
+    buffer, and the inputs are not written.
     """
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim == 1 and np.ndim(a) == 2:
         delta = delta[:, None]
-    return a + delta * (b - a)
+    out = b - a
+    out *= delta
+    out += a
+    return out
 
 
 def _append_synthetic(

@@ -61,6 +61,28 @@ def test_dataset_take_carries_everything() -> None:
     np.testing.assert_array_equal(sub.origin.parent_a, [2, 0])
 
 
+def test_dataset_take_matches_fancy_indexing_bitwise() -> None:
+    rng = np.random.default_rng(3)
+    ds = make_dataset(rng.standard_normal((30, 4)), rng.integers(0, 2, 30), time=rng.random(30))
+    ds = ds.take(np.arange(30)[::-1])  # origin tags that are not 0..n-1
+    idx = np.array([5, 0, 29, 5, -1, 17])
+    sub = ds.take(idx)
+    for got, full in [
+        (sub.features, ds.features),
+        (sub.labels, ds.labels),
+        (sub.time, ds.time),
+        *((getattr(sub.origin, name), getattr(ds.origin, name)) for name in ORIGIN_DTYPES),
+    ]:
+        want = full[idx]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    for bad in ([30], [-31]):
+        with pytest.raises(IndexError):
+            ds.take(np.array(bad))
+        with pytest.raises(IndexError):
+            ds.origin.take(np.array(bad))
+
+
 def test_select_columns() -> None:
     ds = make_dataset(np.arange(12.0).reshape(3, 4), [0, 1, 0])
     sub = ds.select_columns(["V3", "V1"])

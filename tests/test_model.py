@@ -10,6 +10,7 @@ import pytest
 
 from leakbench.model import (
     _sigmoid,
+    FORWARD_BLOCK,
     MlpConfig,
     MlpModel,
     PROB_CLAMP,
@@ -471,6 +472,27 @@ def test_train_matches_reference_bitwise() -> None:
                     for name in ("w1", "b1", "w2"):
                         if getattr(m, name) is not None:
                             assert not np.shares_memory(getattr(got[0], name), getattr(m, name))
+
+
+def test_block_boundaries_match_reference_bitwise() -> None:
+    # batches gathered into a reused buffer and full-set passes run block by
+    # block must give the bits of whole-array arithmetic: a partial last
+    # block, a partial last batch and a batch larger than the set
+    n, d = 2 * FORWARD_BLOCK + 3, 3
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((n, d)) * 2.0
+    y = (rng.random(n) < 0.3).astype(np.float64)
+    perms = [rng.permutation(n)]
+    for hidden in (0, 1, 16):
+        for batch_size in (256, n + 5):
+            c = cfg(n_features=d, hidden=hidden, epochs=1, batch_size=batch_size,
+                    learning_rate=0.05, seed=hidden + batch_size)
+            m = init_mlp(c)
+            for hook in (None, perms):
+                got = train(m, x, y, hook)
+                assert_same_training(got, reference_train(m, x, y, hook))
+            want = np.clip(forward_unclamped(got[0], x), PROB_CLAMP, 1 - PROB_CLAMP)
+            assert bits(forward(got[0], x)) == bits(want)
 
 
 def test_divergence_matches_reference() -> None:

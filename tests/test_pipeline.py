@@ -186,6 +186,21 @@ def test_constant_column_passes_through() -> None:
         np.testing.assert_array_equal(scaled.features[:, 0], [7.0, 7.0, 7.0])
 
 
+def test_apply_scaler_is_the_textbook_form_bitwise() -> None:
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-50, 50, (40, 4))
+    x[:, 2] = 7.0  # a constant column: center 0, scale 1
+    ds = make_dataset(x, rng.integers(0, 2, 40))
+    for method in ("standardize", "minmax", "none"):
+        params = fit_scaler(ds, np.arange(30), method)
+        assert (params.center[2], params.scale[2]) == (0.0, 1.0)
+        before = [ds.features.tobytes(), params.center.tobytes(), params.scale.tobytes()]
+        scaled = apply_scaler(ds, params)
+        want = (ds.features - params.center) / params.scale
+        assert scaled.features.tobytes() == want.tobytes()
+        assert [ds.features.tobytes(), params.center.tobytes(), params.scale.tobytes()] == before
+
+
 def test_none_scaler_is_identity() -> None:
     ds = make_dataset([[3.0], [9.0]], [0, 1])
     params = fit_scaler(ds, np.arange(2), "none")

@@ -85,6 +85,25 @@ def test_interpolate_endpoints() -> None:
     np.testing.assert_array_equal(got, [0.1, 0.5, 0.9])
 
 
+def test_interpolate_is_the_textbook_form_bitwise() -> None:
+    rng = np.random.default_rng(14)
+    rows_a, rows_b = rng.standard_normal((50, 6)) * 1e3, rng.standard_normal((50, 6))
+    values_a, values_b = rng.standard_normal(50) * 1e5, rng.standard_normal(50)
+    delta = rng.random(50)
+    cases = [
+        (rows_a, rows_b, delta, delta[:, None]),  # one coefficient per row
+        (values_a, values_b, delta, delta),  # one per value
+        (rows_a, rows_b, np.float64(0.3), 0.3),  # 0-d
+        (values_a, values_b, np.array(0.7), 0.7),
+    ]
+    for a, b, d, want_d in cases:
+        before = [a.tobytes(), b.tobytes(), np.asarray(d).tobytes()]
+        got = interpolate(a, b, d)
+        want = a + want_d * (b - a)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert [a.tobytes(), b.tobytes(), np.asarray(d).tobytes()] == before
+
+
 # ---------------------------------------------------------------------------
 # smote
 # ---------------------------------------------------------------------------
