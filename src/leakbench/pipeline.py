@@ -14,6 +14,7 @@ identical row (12 significant digits) sits on both sides.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,10 @@ __all__ = [
 SPLIT_STRATEGIES = ("random", "stratified", "temporal")
 SCALER_METHODS = ("standardize", "minmax", "none")
 PROTOCOLS = ("leaky", "clean")
+
+# Rows per block of the in-place compaction of a leaky cell's training rows and of the
+# audit's key rounding; each block's gather is the only temporary.
+ROW_BLOCK = 4096
 
 
 @dataclass
@@ -153,7 +158,13 @@ def _clamped_round(x: float, n: int) -> int:
 
 
 def fit_scaler(ds: Dataset, rows: np.ndarray, method: str) -> ScalerParams:
-    """Fit the named per-column transform on the given rows only."""
+    """Fit the named per-column transform on the given rows only.
+
+    ``ds.features`` is read in place when ``rows`` is every row in order
+    and the matrix is C-contiguous, the layout a gather returns; otherwise
+    the rows are gathered, because numpy reduces any other row order or
+    layout over axis 0 in another order, and the bits would differ.
+    """
     if method not in SCALER_METHODS:
         raise ValueError(f"unknown scaler {method!r}; expected one of {SCALER_METHODS}")
     rows = np.asarray(rows, dtype=np.int64)
@@ -162,13 +173,20 @@ def fit_scaler(ds: Dataset, rows: np.ndarray, method: str) -> ScalerParams:
     fitted_on = "full_dataset" if rows.size == ds.n_rows else "train_only"
     center = np.zeros(ds.n_features)  # "none": the identity, which reads no rows
     scale = np.ones(ds.n_features)
-    if method == "standardize":
-        x = ds.features[rows]
-        center, scale = x.mean(axis=0), x.std(axis=0)
-    elif method == "minmax":
-        x = ds.features[rows]
-        center = x.min(axis=0)
-        scale = x.max(axis=0) - center
+    if method != "none":
+        x = ds.features
+        in_place = (
+            rows.size == ds.n_rows
+            and x.flags.c_contiguous
+            and np.array_equal(rows, np.arange(ds.n_rows))
+        )
+        if not in_place:
+            x = x[rows]
+        if method == "standardize":
+            center, scale = x.mean(axis=0), x.std(axis=0)
+        else:  # minmax
+            center = x.min(axis=0)
+            scale = x.max(axis=0) - center
     constant = scale == 0.0
     center = np.where(constant, 0.0, center)
     scale = np.where(constant, 1.0, scale)
@@ -186,10 +204,20 @@ def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _row_keys(ds: Dataset, rows: np.ndarray) -> list[bytes]:
-    """One key per selected row: its features at 12 significant digits, plus its label."""
-    rounded = _round_significant(ds.features[rows], 12)
-    return [row.tobytes() + bytes([label]) for row, label in zip(rounded, ds.labels[rows])]
+def _row_keys(ds: Dataset, rows: np.ndarray) -> Iterator[bytes]:
+    """One key per selected row: its features at 12 significant digits, plus its label.
+
+    ``rows`` is a boolean mask.  The rows are rounded ``ROW_BLOCK`` at a
+    time and the keys are yielded one by one, so the rounding's
+    temporaries stay block-sized and a caller that keeps only distinct
+    keys never holds one per duplicate row.
+    """
+    positions = np.flatnonzero(rows)
+    for start in range(0, len(positions), ROW_BLOCK):
+        block = positions[start : start + ROW_BLOCK]
+        rounded = _round_significant(ds.features.take(block, axis=0), 12)
+        for row, label in zip(rounded, ds.labels[block]):
+            yield row.tobytes() + bytes([label])
 
 
 def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
@@ -243,6 +271,59 @@ def contamination_audit(train: Dataset, test: Dataset) -> ContaminationReport:
 # ---------------------------------------------------------------------------
 
 
+def _front_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Move the rows of ``x`` at ascending positions ``rows`` to its front, in place.
+
+    Returns the view of ``x``'s first ``len(rows)`` rows.  Row i comes
+    from position ``rows[i] >= i``, so a block's rows are gathered before
+    any row they come from is overwritten.
+    """
+    for start in range(0, len(rows), ROW_BLOCK):
+        block = rows[start : start + ROW_BLOCK]
+        x[start : start + len(block)] = x.take(block, axis=0)
+    return x[: len(rows)]
+
+
+def _cell_sides(
+    ds: Dataset,
+    protocol: str,
+    split_spec: SplitSpec,
+    resampler: ResamplerSpec,
+    scaler: str,
+) -> tuple[Dataset, Dataset, tuple[str, ...]]:
+    """The (train, test) sides of one protocol, plus the resampler's notes.
+
+    leaky: the scaled set has no name here, so it is freed when the
+    resampler returns.  The test side is gathered from the resampled set,
+    whose feature buffer the cell owns (scaling made it); the training
+    rows are then moved to that buffer's front, in place.  clean: each
+    side is gathered from ``ds`` and then scaled.
+    """
+    if protocol == "leaky":
+        params = fit_scaler(ds, np.arange(ds.n_rows), scaler)
+        res = apply_resampler(apply_scaler(ds, params), resampler)
+        full = res.dataset
+        train_rows, test_rows = split(full, split_spec)
+        test_ds = full.take(test_rows)
+        # labels, time and origin may be ds's own arrays (a pass-through), so they are gathered
+        train_ds = Dataset(
+            features=_front_rows(full.features, train_rows),
+            labels=full.labels.take(train_rows),
+            feature_names=full.feature_names,
+            time=None if full.time is None else full.time.take(train_rows),
+            origin=full.origin.take(train_rows),
+        )
+    elif protocol == "clean":
+        train_rows, test_rows = split(ds, split_spec)
+        params = fit_scaler(ds, train_rows, scaler)
+        res = apply_resampler(apply_scaler(ds.take(train_rows), params), resampler)
+        test_ds = apply_scaler(ds.take(test_rows), params)
+        train_ds = res.dataset
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    return train_ds, test_ds, res.notes
+
+
 def run_protocol(
     ds: Dataset,
     protocol: str,
@@ -251,28 +332,15 @@ def run_protocol(
     scaler: str,
     model_cfg: MlpConfig,
 ) -> RunArtifacts:
-    """Run one protocol end to end and evaluate on its test side."""
-    if protocol == "leaky":
-        params = fit_scaler(ds, np.arange(ds.n_rows), scaler)
-        scaled = apply_scaler(ds, params)
-        res = apply_resampler(scaled, resampler)
-        train_rows, test_rows = split(res.dataset, split_spec)
-        train_ds = res.dataset.take(train_rows)
-        test_ds = res.dataset.take(test_rows)
-        notes = res.notes
-        del scaled, res  # nothing reads the whole scaled or resampled set after the split
-    elif protocol == "clean":
-        train_rows, test_rows = split(ds, split_spec)
-        params = fit_scaler(ds, train_rows, scaler)
-        scaled = apply_scaler(ds, params)
-        res = apply_resampler(scaled.take(train_rows), resampler)
-        train_ds = res.dataset
-        test_ds = scaled.take(test_rows)
-        notes = res.notes
-        del scaled
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    """Run one protocol end to end and evaluate on its test side.
 
+    ``ds`` is only read, and each whole-set buffer is built once and
+    dropped after its last reader.  At a leaky cell's peak, while the
+    resampler writes its output, three are live: ``ds``, the scaled set
+    and the resampled set; a clean cell's peak holds ``ds``, the scaled
+    train side and the resampled train side.
+    """
+    train_ds, test_ds, notes = _cell_sides(ds, protocol, split_spec, resampler, scaler)
     contamination = contamination_audit(train_ds, test_ds)
     cfg = replace(model_cfg, n_features=train_ds.n_features)
     model = init_mlp(cfg)

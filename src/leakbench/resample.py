@@ -18,6 +18,7 @@ combined methods deterministic on exactly balanced intermediates.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,6 +109,11 @@ class ResampleResult:
 # ---------------------------------------------------------------------------
 
 
+# Rows per block when synthetic rows are interpolated into their output buffer; the
+# block's parent gathers are the only temporaries (about 1 MB each at 30 features).
+APPEND_BLOCK = 4096
+
+
 def _class_split(ds: Dataset) -> tuple[int, np.ndarray, np.ndarray]:
     """Minority label plus index arrays (minority, majority), ascending."""
     pos = np.nonzero(ds.labels == 1)[0]
@@ -138,17 +144,19 @@ def _require_minority_above(n_min: int, k: int, method: str, knob: str) -> None:
         )
 
 
-def interpolate(a: np.ndarray, b: np.ndarray, delta) -> np.ndarray:
+def interpolate(a: np.ndarray, b: np.ndarray, delta, out: np.ndarray | None = None) -> np.ndarray:
     """Row(s) or value(s) on the segment from a to b: a + delta * (b - a).
 
     A 1-d ``delta`` holds one coefficient per row of 2-d ``a``/``b``, or
-    one per value of 1-d ``a``/``b``.  The result is built in one new
-    buffer, and the inputs are not written.
+    one per value of 1-d ``a``/``b``.  The result is computed as
+    ``b - a``, then ``*= delta``, then ``+= a``, in ``out`` when given (a
+    buffer of the result's shape) or else in one new buffer; the inputs
+    are not written.
     """
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim == 1 and np.ndim(a) == 2:
         delta = delta[:, None]
-    out = b - a
+    out = np.subtract(b, a, out=out)
     out *= delta
     out += a
     return out
@@ -160,25 +168,45 @@ def _append_synthetic(
     parent_a: np.ndarray,
     parent_b: np.ndarray,
     delta: np.ndarray,
-    rows: np.ndarray | None = None,
+    fill: Callable[[np.ndarray], object] | None = None,
 ) -> Dataset:
     """Append synthetic rows of class ``label`` built from the rows at
     positions parent_a/parent_b.
 
-    Features are ``interpolate(parents, delta)`` unless ``rows`` gives
-    them; the time column always goes through the same interpolation.
-    The tags record the parents' source row ids (``ds.origin.parent_a``),
-    not their positions, so they stay valid when ``ds`` is a subset.
+    The output's feature matrix is allocated once: the input rows are
+    copied into its head, and the new rows are written into its tail.
+    ``fill(tail)`` writes them when they are not interpolations (copies,
+    centroids); otherwise they are ``interpolate(parents, delta)``,
+    computed ``APPEND_BLOCK`` rows at a time, so no temporary is larger
+    than a block.  The time column always goes through the same
+    interpolation.  The tags record the parents' source row ids
+    (``ds.origin.parent_a``), not their positions, so they stay valid when
+    ``ds`` is a subset.
     """
-    if rows is None:
-        rows = interpolate(ds.features[parent_a], ds.features[parent_b], delta)
+    n, n_new = ds.n_rows, len(delta)
+    features = np.empty((n + n_new, ds.n_features))
+    features[:n] = ds.features
+    tail = features[n:]
+    if fill is not None:
+        fill(tail)
+    else:
+        for start in range(0, n_new, APPEND_BLOCK):
+            block = slice(start, start + APPEND_BLOCK)
+            # unnamed, so the last block's gathers are not kept alive past the loop
+            interpolate(
+                ds.features.take(parent_a[block], axis=0),
+                ds.features.take(parent_b[block], axis=0),
+                delta[block],
+                out=tail[block],
+            )
     time = None
     if ds.time is not None:
-        new_time = interpolate(ds.time[parent_a], ds.time[parent_b], delta)
-        time = np.concatenate([ds.time, new_time])
+        time = np.empty(n + n_new)
+        time[:n] = ds.time
+        interpolate(ds.time[parent_a], ds.time[parent_b], delta, out=time[n:])
     return Dataset(
-        features=np.vstack([ds.features, rows]),
-        labels=np.concatenate([ds.labels, np.full(len(delta), label, dtype=np.int64)]),
+        features=features,
+        labels=np.concatenate([ds.labels, np.full(n_new, label, dtype=np.int64)]),
         feature_names=ds.feature_names,
         time=time,
         origin=RowOrigin.concat(
@@ -251,7 +279,11 @@ def random_oversample(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
         return ResampleResult(ds)
     rng = np.random.default_rng(spec.seed)
     picks = min_idx[rng.integers(0, len(min_idx), n_new)]
-    out = _append_synthetic(ds, min_label, picks, picks, np.zeros(n_new), ds.features[picks])
+    # picks are valid rows; mode "raise" would stage the gather in a temporary of the tail's size
+    out = _append_synthetic(
+        ds, min_label, picks, picks, np.zeros(n_new),
+        fill=lambda tail: ds.features.take(picks, axis=0, out=tail, mode="clip"),
+    )
     return ResampleResult(dataset=out, n_synthetic=n_new)
 
 
@@ -407,7 +439,9 @@ def cluster_centroids(ds: Dataset, spec: ResamplerSpec) -> ResampleResult:
     centers = _kmeans(ds.features[maj_idx], k, rng)
     nearest, _ = _kernels.knn(centers, ds.features[maj_idx], 1)
     parents = maj_idx[nearest[:, 0]]
-    out = _append_synthetic(ds, 1 - min_label, parents, parents, np.zeros(k), centers)
+    out = _append_synthetic(
+        ds, 1 - min_label, parents, parents, np.zeros(k), fill=lambda tail: np.copyto(tail, centers)
+    )
     return _drop_rows(out, maj_idx, n_synthetic=k)
 
 

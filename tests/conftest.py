@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,20 @@ def make_dataset(features, labels, time=None) -> Dataset:
         feature_names=names,
         time=None if time is None else np.asarray(time, dtype=np.float64),
     )
+
+
+def peak_traced(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, as tracemalloc counts them.
+
+    Tracing starts at the call, so memory already held does not count; numpy
+    reports its array buffers to tracemalloc.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

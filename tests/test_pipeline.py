@@ -4,16 +4,20 @@ two protocol orderings run end to end."""
 from __future__ import annotations
 
 import re
-import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import leakbench.experiment as experiment
 import leakbench.pipeline as pipeline
+import leakbench.resample as resample
 from leakbench.data import Dataset, RowOrigin, SYNTHETIC, SynthConfig, generate_synthetic
-from leakbench.model import MlpConfig
+from leakbench.experiment import DatasetSpec, GridConfig, run_grid
+from leakbench.model import MlpConfig, ModelParams
 from leakbench.pipeline import (
     ContaminationReport,
+    ScalerParams,
     SplitSpec,
     apply_scaler,
     contamination_audit,
@@ -23,7 +27,7 @@ from leakbench.pipeline import (
 )
 from leakbench.resample import ResamplerSpec, apply_resampler, interpolate
 
-from conftest import make_dataset
+from conftest import make_dataset, peak_traced
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +220,63 @@ def test_none_scaler_reads_no_rows() -> None:
     rng = np.random.default_rng(21)
     ds = make_dataset(rng.standard_normal((50_000, 30)), rng.integers(0, 2, 50_000))
     rows = np.arange(ds.n_rows)
-    tracemalloc.start()
-    try:
-        fit_scaler(ds, rows, "none")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < ds.features.nbytes / 10
+    assert peak_traced(lambda: fit_scaler(ds, rows, "none")) < ds.features.nbytes / 10
+
+
+def _gathered_fit(ds: Dataset, rows: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """(center, scale) of fit_scaler as it was before the in-place read: always on a gather."""
+    if method == "none":
+        return np.zeros(ds.n_features), np.ones(ds.n_features)
+    x = ds.features[rows]
+    if method == "standardize":
+        center, scale = x.mean(axis=0), x.std(axis=0)
+    else:
+        center = x.min(axis=0)
+        scale = x.max(axis=0) - center
+    constant = scale == 0.0
+    return np.where(constant, 0.0, center), np.where(constant, 1.0, scale)
+
+
+def _fortran_copy(ds: Dataset) -> Dataset:
+    # __post_init__ makes every matrix C-contiguous, so the order is set afterwards
+    out = replace(ds)
+    out.features = np.asfortranarray(ds.features)
+    return out
+
+
+def test_fit_scaler_in_place_read_equals_the_gathered_fit_bitwise() -> None:
+    # a permutation of every row or a Fortran-ordered matrix read in place would sum in
+    # another order; both must still give the gathered fit's bits
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        n, d = int(rng.integers(1, 300)), int(rng.integers(1, 6))
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, d)
+        x[:, rng.random(d) < 0.2] = 1.5  # constant columns
+        ds = make_dataset(x, rng.integers(0, 2, n))
+        subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        cases = [
+            (ds, np.arange(n)),
+            (ds, rng.permutation(n)),
+            (ds, subset),
+            (_fortran_copy(ds), np.arange(n)),
+        ]
+        for case, rows in cases:
+            for method in pipeline.SCALER_METHODS:
+                params = fit_scaler(case, rows, method)
+                center, scale = _gathered_fit(case, rows, method)
+                assert params.center.tobytes() == center.tobytes(), (n, d, method)
+                assert params.scale.tobytes() == scale.tobytes(), (n, d, method)
+
+
+def test_fit_scaler_reads_every_row_in_place_only_in_order_and_c_contiguous() -> None:
+    rng = np.random.default_rng(24)
+    ds = make_dataset(rng.standard_normal((50_000, 30)), rng.integers(0, 2, 50_000))
+    n, nbytes = ds.n_rows, ds.features.nbytes
+    # minmax reads its rows without temporaries, so its peak is the gather or nothing
+    assert peak_traced(lambda: fit_scaler(ds, np.arange(n), "minmax")) < nbytes / 10
+    gathered = [(ds, np.random.default_rng(1).permutation(n)), (_fortran_copy(ds), np.arange(n))]
+    for case, rows in gathered:
+        assert peak_traced(lambda: fit_scaler(case, rows, "minmax")) >= nbytes
 
 
 def test_fit_scaler_validation() -> None:
@@ -328,10 +382,17 @@ def _brute_force_duplicates(train: Dataset, test: Dataset) -> int:
     return count
 
 
-def test_audit_duplicates_match_brute_force_many_instances() -> None:
+def _whole_selection_keys(ds: Dataset, rows: np.ndarray) -> list[bytes]:
+    """_row_keys as it was before blocks: every selected row rounded at once."""
+    rounded = pipeline._round_significant(ds.features[rows], 12)
+    return [row.tobytes() + bytes([label]) for row, label in zip(rounded, ds.labels[rows])]
+
+
+def test_audit_duplicates_match_brute_force_many_instances(monkeypatch) -> None:
     # first values collide often while later values differ, so the first-value filter passes
     # rows that are not duplicates and must still drop none that are
     rng = np.random.default_rng(2024)
+    block_rng = np.random.default_rng(2025)  # apart from rng, so the instances stay the same
     odd = [0.0, -0.0, 1e-300, -1e-300, 3e-300, 5e-324, np.inf, np.nan]
     near = [1.0, 1.0 + 1e-14, 1.0 + 1e-9, -2.5, 1e6 / 3, 1e6 / 3 * (1 + 1e-13)]
     for _ in range(300):
@@ -354,6 +415,10 @@ def test_audit_duplicates_match_brute_force_many_instances() -> None:
         y_test[:k] = np.where(rng.random(k) < 0.2, 1 - y_train[picks], y_train[picks])
 
         train, test = make_dataset(x_train, y_train), make_dataset(x_test, y_test)
+        # keys are rounded in blocks; blocks of a few rows put boundaries inside the selection
+        monkeypatch.setattr(pipeline, "ROW_BLOCK", int(block_rng.integers(1, 8)))
+        mask = block_rng.random(n_train) < 0.7
+        assert list(pipeline._row_keys(train, mask)) == _whole_selection_keys(train, mask)
         before = train.features.tobytes(), test.features.tobytes()
         rep = contamination_audit(train, test)
         assert (train.features.tobytes(), test.features.tobytes()) == before  # rounds copies
@@ -511,6 +576,168 @@ def test_synthetic_parents_name_grid_rows_in_every_protocol() -> None:
                             interpolate(scaled.features[pa], scaled.features[pb], delta),
                             err_msg=str(where),
                         )
+
+
+def _vstack_append(ds, label, parent_a, parent_b, delta, fill=None) -> Dataset:
+    """resample._append_synthetic as it was before the one-buffer append: the new rows are
+    built whole, as ``b - a; *= delta; += a``, and stacked under the input with np.vstack."""
+    if fill is None:
+        rows = ds.features[parent_b] - ds.features[parent_a]
+        rows *= delta[:, None]
+        rows += ds.features[parent_a]
+    else:
+        rows = np.empty((len(delta), ds.n_features))
+        fill(rows)
+    time = None
+    if ds.time is not None:
+        new_time = ds.time[parent_b] - ds.time[parent_a]
+        new_time *= delta
+        new_time += ds.time[parent_a]
+        time = np.concatenate([ds.time, new_time])
+    return Dataset(
+        features=np.vstack([ds.features, rows]),
+        labels=np.concatenate([ds.labels, np.full(len(delta), label, dtype=np.int64)]),
+        feature_names=ds.feature_names,
+        time=time,
+        origin=RowOrigin.concat(
+            ds.origin,
+            RowOrigin.synthetic(ds.origin.parent_a[parent_a], ds.origin.parent_a[parent_b], delta),
+        ),
+    )
+
+
+def _reference_sides(ds, protocol, split_spec, resampler, scaler, monkeypatch):
+    """The cell's (train, test, notes) in the order the protocols ran before each whole-set
+    buffer was built once: leaky scales the whole set, resamples it and takes both sides
+    from it; clean scales the whole set and takes both sides from the scaled set."""
+    with monkeypatch.context() as m:
+        m.setattr(resample, "_append_synthetic", _vstack_append)
+        if protocol == "leaky":
+            rows = np.arange(ds.n_rows)
+            params = ScalerParams("full_dataset", *_gathered_fit(ds, rows, scaler))
+            scaled = apply_scaler(ds, params)
+            res = apply_resampler(scaled, resampler)
+            train_rows, test_rows = split(res.dataset, split_spec)
+            return res.dataset.take(train_rows), res.dataset.take(test_rows), res.notes
+        train_rows, test_rows = split(ds, split_spec)
+        params = ScalerParams("train_only", *_gathered_fit(ds, train_rows, scaler))
+        scaled = apply_scaler(ds, params)
+        res = apply_resampler(scaled.take(train_rows), resampler)
+        return res.dataset, scaled.take(test_rows), res.notes
+
+
+def _arrays(ds: Dataset) -> dict[str, np.ndarray]:
+    arrays = {"features": ds.features, "labels": ds.labels, "time": ds.time}
+    arrays.update((f, getattr(ds.origin, f)) for f in ("kind", "parent_a", "parent_b", "delta"))
+    return arrays
+
+
+def _assert_same_bytes(got: Dataset, want: Dataset, where) -> None:
+    for name, value in _arrays(want).items():
+        other = _arrays(got)[name]
+        assert other.shape == value.shape and other.tobytes() == value.tobytes(), (name, where)
+
+
+def test_append_in_blocks_equals_vstack_append_bitwise() -> None:
+    rng = np.random.default_rng(41)
+    ds = make_dataset(rng.standard_normal((50, 3)) * 1e3, rng.integers(0, 2, 50), rng.random(50))
+    n_new = 2 * resample.APPEND_BLOCK + 3  # two whole blocks and a short one
+    pa, pb = rng.integers(0, 50, n_new), rng.integers(0, 50, n_new)
+    delta = rng.random(n_new)
+    before = [a.tobytes() for a in _arrays(ds).values()]
+    got = resample._append_synthetic(ds, 1, pa, pb, delta)
+    _assert_same_bytes(got, _vstack_append(ds, 1, pa, pb, delta), "interpolated")
+    assert [a.tobytes() for a in _arrays(ds).values()] == before
+    fill = lambda tail: ds.features.take(pa, axis=0, out=tail, mode="clip")  # noqa: E731
+    got = resample._append_synthetic(ds, 0, pa, pa, np.zeros(n_new), fill=fill)
+    _assert_same_bytes(got, _vstack_append(ds, 0, pa, pa, np.zeros(n_new), fill=fill), "filled")
+    np.testing.assert_array_equal(got.features[50:], ds.features[pa])
+
+
+def test_cell_sides_equal_the_old_order_bitwise(monkeypatch) -> None:
+    # blocks of a few rows, so the append and the leaky compaction cross block boundaries
+    monkeypatch.setattr(resample, "APPEND_BLOCK", 16)
+    monkeypatch.setattr(pipeline, "ROW_BLOCK", 16)
+    ds = overlap_dataset(seed=5, n=150, rate=0.1)
+    for grid in (ds, _fortran_copy(ds)):
+        for method in [None, *resample.METHODS]:
+            resampler = ResamplerSpec(method=method, seed=9)
+            for strategy in pipeline.SPLIT_STRATEGIES:
+                split_spec = SplitSpec(strategy=strategy, test_fraction=0.25, seed=4)
+                for scaler in pipeline.SCALER_METHODS:
+                    for protocol in pipeline.PROTOCOLS:
+                        args = (grid, protocol, split_spec, resampler, scaler)
+                        want = _reference_sides(*args, monkeypatch)
+                        got = pipeline._cell_sides(*args)
+                        order = "F" if grid.features.flags.f_contiguous else "C"
+                        where = (order, method, strategy, scaler, protocol)
+                        _assert_same_bytes(got[0], want[0], ("train",) + where)
+                        _assert_same_bytes(got[1], want[1], ("test",) + where)
+                        assert got[2] == want[2], where
+
+
+def test_no_cell_writes_to_the_grid_dataset(monkeypatch) -> None:
+    # the leaky branch compacts its training rows in place, which is safe only in a buffer
+    # the cell made; the grid dataset is shared by every cell of a run
+    # classes far apart, so that no cleaner empties a class of a side
+    synth = SynthConfig(n_samples=160, positive_rate=0.1, n_features=5, class_separation=4.0)
+    spec = DatasetSpec(synthetic=synth)
+    ds = generate_synthetic(synth)
+    before = {name: value.copy() for name, value in _arrays(ds).items()}
+    owned = []
+    real_front_rows = pipeline._front_rows
+
+    def spying_front_rows(x, rows):
+        grid_arrays = _arrays(ds).values()
+        owned.append(x.flags.owndata and not any(np.shares_memory(x, a) for a in grid_arrays))
+        return real_front_rows(x, rows)
+
+    monkeypatch.setattr(pipeline, "_front_rows", spying_front_rows)
+    monkeypatch.setattr(experiment, "load_grid_dataset", lambda spec: ds)
+    # a target ratio the data already meets: smote passes the scaled set through
+    resamplers = [ResamplerSpec(method=m) for m in [None, *resample.METHODS]]
+    resamplers.append(ResamplerSpec(method="smote", target_ratio=0.05))
+    n_cells = 0
+    for resampler in resamplers:
+        for strategy in pipeline.SPLIT_STRATEGIES:
+            for scaler in pipeline.SCALER_METHODS:
+                cfg = GridConfig(
+                    dataset=spec,
+                    seeds=(1,),
+                    resampler=resampler,
+                    split=SplitSpec(strategy=strategy, test_fraction=0.25),
+                    n_values=(0,),
+                    scaler=scaler,
+                    model=ModelParams(epochs=1),
+                )
+                for cell in run_grid(cfg).cells:
+                    assert cell.error is None, (resampler, strategy, scaler, cell.error)
+                    n_cells += 1
+    for name, value in _arrays(ds).items():
+        assert value.tobytes() == before[name].tobytes(), name
+    assert len(owned) == n_cells // 2 and all(owned)
+
+
+def test_a_desk_cell_holds_few_whole_set_buffers() -> None:
+    # the cell peaks at 3.62x (leaky) and 3.15x (clean) the grid's feature bytes, so one more
+    # whole-set buffer or temporary breaks its bound
+    ds = generate_synthetic(
+        SynthConfig(n_samples=20_000, positive_rate=0.005, n_features=30, seed=7)
+    )
+    nbytes = ds.features.nbytes
+    split_spec = SplitSpec(strategy="stratified", test_fraction=0.2, seed=11)
+    cfg = MlpConfig(n_features=30, hidden_neurons=4, epochs=1, seed=3)
+    smote = ResamplerSpec(method="smote", seed=5)
+    for protocol, bound in (("leaky", 4.0), ("clean", 3.5)):
+        args = (ds, protocol, split_spec, smote, "standardize", cfg)
+        peak = peak_traced(lambda: run_protocol(*args))
+        assert peak < bound * nbytes, (protocol, peak / nbytes)
+    # random_over copies 100 positives 19,800 times, so most keyed rows are duplicates; the
+    # audit peaks at 1.40x, and rounding the whole selection at once breaks the bound
+    random_over = ResamplerSpec(method="random_over", seed=5)
+    train, test, _ = pipeline._cell_sides(ds, "leaky", split_spec, random_over, "standardize")
+    peak = peak_traced(lambda: contamination_audit(train, test))
+    assert peak < 2.0 * nbytes, peak / nbytes
 
 
 def test_clean_scaler_fits_on_train_rows_only(monkeypatch) -> None:

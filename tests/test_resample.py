@@ -101,6 +101,8 @@ def test_interpolate_is_the_textbook_form_bitwise() -> None:
         got = interpolate(a, b, d)
         want = a + want_d * (b - a)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        out = np.empty(want.shape)
+        assert interpolate(a, b, d, out=out) is out and out.tobytes() == want.tobytes()
         assert [a.tobytes(), b.tobytes(), np.asarray(d).tobytes()] == before
 
 
