@@ -20,6 +20,26 @@ full stable sort of the row would put them.  The excluded self sorts
 after every other candidate, so it is never returned as a neighbour,
 even when the other distances overflow to ``inf`` too.
 
+A self-search, ``knn(x, x, k, self_idx=arange(n))`` with one array
+object as both query and ref (as the resamplers call it), computes each
+pair's distance once.  The rows are cut into equal blocks of about 256
+rows, at least k + 1 each.  Each block's own tile seeds its rows'
+k-lists through the same selection; every other block pair's tile is
+computed once and folded into both blocks' lists, keeping the entries
+at or below a row's current k-th distance in (distance, index) order.
+fl(a - b) = -fl(b - a), so the transposed tile holds the squares, summed
+from 0 in the same feature order, that the other block's rows would
+compute: the results are bitwise equal to the streamed search.  At 30
+features and k=5 (2-vCPU host, one thread, median of 5) a 5,000-row
+self-search takes 0.49 s against 0.79 s streamed, and 10,000 rows
+1.68 s against 3.20 s.
+
+Every tile runs with numpy's ufunc buffer at 512 elements, and the
+caller's size is restored on return or error.  At numpy's default
+8,192, a broadcast subtraction whose rows are shorter than a third of
+the buffer takes numpy's buffered path, at 1.0-1.9 ns per element
+instead of 0.3-0.6, which every reference under 2,731 rows paid.
+
 Inputs must be finite: ``nan`` and ``inf`` are rejected, since their
 distances do not order.  All searches are exhaustive
 O(n_query * n_ref); callers that run them on very large inputs are
@@ -27,6 +47,8 @@ expected to gate that behind an explicit opt-in.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,10 +62,17 @@ _TILE_ELEMS = 2**16
 # Widest tile in reference columns; narrower references get taller
 # tiles, so a one-column search such as k-means seeding does not pay
 # per-tile overhead every few rows.  Wider references are cut into
-# equal blocks of 4,096 to 8,192 columns: numpy buffers a broadcast
-# subtraction whose rows are shorter than a third of its 8,192-element
-# ufunc buffer, which makes it four to five times slower.
+# equal blocks of 4,096 to 8,192 columns, so that no narrow remainder
+# block is left over.
 _TILE_COLS = 8192
+# numpy's ufunc buffer, in elements, while tiles are computed.  numpy
+# buffers a broadcast subtraction whose rows are shorter than a third of
+# this buffer, which makes it two to six times slower per element: at
+# 512 that is tiles under 171 columns, at the default 8,192 under 2,731.
+_UFUNC_BUFSIZE = 512
+# Rows per block of a self-search, so that a block pair's tile holds
+# about _TILE_ELEMS distances.
+_SELF_BLOCK = 256
 
 
 def backend_name() -> str:
@@ -82,6 +111,16 @@ def _sq_dists_into(
                 acc += tile
 
 
+@contextmanager
+def _tile_buffer():
+    """Run the tiles with numpy's ufunc buffer at ``_UFUNC_BUFSIZE``."""
+    old = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _as_matrix(x: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(x, dtype=np.float64)
     if out.ndim != 2:
@@ -99,7 +138,8 @@ def pairwise_sq_dists(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
         raise ValueError("query and ref must have the same number of columns")
     out = np.empty((query.shape[0], ref.shape[0]))
     diff = np.empty(_tile_shape(*ref.shape))
-    _sq_dists_into(query, np.ascontiguousarray(ref.T), out, diff)
+    with _tile_buffer():
+        _sq_dists_into(query, np.ascontiguousarray(ref.T), out, diff)
     return out
 
 
@@ -122,6 +162,67 @@ def _select(dists: np.ndarray, k: int, excl: np.ndarray) -> np.ndarray:
     return cols[order][first[:, None] + np.arange(k)]
 
 
+def _fold(tile: np.ndarray, col0: int, sqd: np.ndarray, idx: np.ndarray) -> None:
+    """Merge a distance tile into its rows' k-lists, in place.
+
+    Column c of ``tile`` is reference row ``col0 + c``; ``sqd`` and
+    ``idx`` hold each row's k nearest so far, ordered by (distance,
+    index).  Only entries at or below a row's current k-th distance can
+    enter its list.
+    """
+    k = sqd.shape[1]
+    # row-major positions, so rows come out sorted
+    rows, cols = np.divmod(np.flatnonzero(tile <= sqd[:, -1:]), tile.shape[1])
+    if not len(rows):
+        return
+    # only the rows with a candidate are merged
+    new_row = np.diff(rows, prepend=-1) != 0
+    hit = rows[new_row]
+    at = np.cumsum(new_row) - 1
+    r = np.concatenate([np.repeat(np.arange(len(hit)), k), at])
+    d = np.concatenate([sqd[hit].ravel(), tile[rows, cols]])
+    i = np.concatenate([idx[hit].ravel(), cols + col0])
+    order = np.lexsort((i, d, r))
+    first = np.searchsorted(r[order], np.arange(len(hit)))
+    take = order[first[:, None] + np.arange(k)]
+    sqd[hit] = d[take]
+    idx[hit] = i[take]
+
+
+def _self_knn(x: np.ndarray, k: int, idx: np.ndarray, sqd: np.ndarray) -> None:
+    """``knn(x, x, k, self_idx=arange(n))`` into ``idx`` and ``sqd``.
+
+    The rows are cut into equal blocks of at least k + 1 rows.  Each
+    block pair's tile is computed once: the diagonal tile seeds its
+    rows' lists, and an off-diagonal tile is folded into both blocks'
+    lists, as it stands and transposed.  fl(a - b) = -fl(b - a), so the
+    transposed tile holds the very distances the other block's rows
+    would compute.
+    """
+    n = len(x)
+    blocks = max(1, min(-(-n // _SELF_BLOCK), n // (k + 1)))
+    edges = [n * b // blocks for b in range(blocks + 1)]
+    size = -(-n // blocks)
+    x_t = np.ascontiguousarray(x.T)
+    tile_buf = np.empty((size, size))
+    diff = np.empty((size, size))
+    for b in range(blocks):
+        b0, b1 = edges[b], edges[b + 1]
+        tile = tile_buf[: b1 - b0, : b1 - b0]
+        _sq_dists_into(x[b0:b1], x_t[:, b0:b1], tile, diff)
+        own = np.arange(b1 - b0)
+        tile[own, own] = np.inf
+        order = _select(tile, k, own)
+        idx[b0:b1] = order + b0
+        sqd[b0:b1] = np.take_along_axis(tile, order, axis=1)
+        for a in range(b):
+            a0, a1 = edges[a], edges[a + 1]
+            tile = tile_buf[: a1 - a0, : b1 - b0]
+            _sq_dists_into(x[a0:a1], x_t[:, b0:b1], tile, diff)
+            _fold(tile, b0, sqd[a0:a1], idx[a0:a1])
+            _fold(tile.T, a0, sqd[b0:b1], idx[b0:b1])
+
+
 def knn(
     query: np.ndarray,
     ref: np.ndarray,
@@ -135,8 +236,9 @@ def knn(
     ``ref``.  Returns ``(indices, squared_distances)``, each of shape
     (n_query, k), nearest first, ties broken toward the lower index.
     """
+    self_search = ref is query
     query = _as_matrix(query)
-    ref = _as_matrix(ref)
+    ref = query if self_search else _as_matrix(ref)
     if query.shape[1] != ref.shape[1]:
         raise ValueError("query and ref must have the same number of columns")
     if self_idx is None:
@@ -155,18 +257,22 @@ def knn(
     n_query = query.shape[0]
     idx = np.empty((n_query, k), dtype=np.int64)
     sqd = np.empty((n_query, k), dtype=np.float64)
-    rows, cols = _tile_shape(*ref.shape)
-    ref_t = np.ascontiguousarray(ref.T)
-    diff = np.empty((rows, cols))
-    dists_buf = np.empty((rows, n_ref))
-    for start in range(0, n_query, rows):
-        stop = min(n_query, start + rows)
-        dists = dists_buf[: stop - start]
-        _sq_dists_into(query[start:stop], ref_t, dists, diff)
-        excl = self_idx[start:stop]
-        hit = np.nonzero(excl >= 0)[0]
-        dists[hit, excl[hit]] = np.inf
-        order = _select(dists, k, excl)
-        idx[start:stop] = order
-        sqd[start:stop] = np.take_along_axis(dists, order, axis=1)
+    with _tile_buffer():
+        if self_search and np.array_equal(self_idx, np.arange(n_query)):
+            _self_knn(query, k, idx, sqd)
+            return idx, sqd
+        rows, cols = _tile_shape(*ref.shape)
+        ref_t = np.ascontiguousarray(ref.T)
+        diff = np.empty((rows, cols))
+        dists_buf = np.empty((rows, n_ref))
+        for start in range(0, n_query, rows):
+            stop = min(n_query, start + rows)
+            dists = dists_buf[: stop - start]
+            _sq_dists_into(query[start:stop], ref_t, dists, diff)
+            excl = self_idx[start:stop]
+            hit = np.nonzero(excl >= 0)[0]
+            dists[hit, excl[hit]] = np.inf
+            order = _select(dists, k, excl)
+            idx[start:stop] = order
+            sqd[start:stop] = np.take_along_axis(dists, order, axis=1)
     return idx, sqd

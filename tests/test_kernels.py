@@ -122,6 +122,95 @@ def test_knn_bitwise_on_tie_heavy_inputs_over_several_tiles() -> None:
                 assert_knn_bitwise(pool[rng.integers(0, len(pool), n + 11)], ref, k)
 
 
+def _spy_self_search(monkeypatch) -> list:
+    calls = []
+    real = _kernels._self_knn
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_self_knn", spy)
+    return calls
+
+
+@pytest.mark.parametrize("block", [4, 7, 16])
+def test_self_search_bitwise_equals_the_untiled_reference_across_blocks(
+    monkeypatch, block
+) -> None:
+    monkeypatch.setattr(_kernels, "_SELF_BLOCK", block)
+    calls = _spy_self_search(monkeypatch)
+    rng = np.random.default_rng(block)
+    # one, two and three blocks, each on and around a block edge
+    sizes = sorted({2, 3, *(m * block + e for m in (1, 2, 3) for e in (-1, 0, 1))})
+    for n in sizes:
+        d = int(rng.integers(1, 5))
+        normal = rng.standard_normal((n, d))
+        normal[1::4] = normal[0::4][: len(normal[1::4])]
+        # few distinct integer points: exact ties and duplicate rows
+        ties = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        # squared differences of 1e155 overflow to inf; duplicates stay 0
+        huge = ties * 1e155
+        for x in (normal, ties, huge):
+            for k in range(1, min(n - 1, 12) + 1):
+                with np.errstate(over="ignore"):
+                    assert_knn_bitwise(x, x, k, np.arange(n, dtype=np.int64))
+    assert len(calls) == 3 * sum(min(n - 1, 12) for n in sizes)
+
+
+def test_self_search_of_an_equal_copy_streams_to_the_same_result(monkeypatch) -> None:
+    monkeypatch.setattr(_kernels, "_SELF_BLOCK", 8)
+    calls = _spy_self_search(monkeypatch)
+    rng = np.random.default_rng(23)
+    pool = rng.integers(-2, 3, size=(6, 3)).astype(np.float64)
+    x = pool[rng.integers(0, len(pool), 41)]
+    self_idx = np.arange(41, dtype=np.int64)
+    for k in (1, 4, 40):
+        idx, sqd = knn(x, x, k, self_idx=self_idx)
+        assert len(calls) == 1
+        copy_idx, copy_sqd = knn(x, x.copy(), k, self_idx=self_idx)
+        assert len(calls) == 1
+        assert np.array_equal(copy_idx, idx) and np.array_equal(copy_sqd, sqd)
+        calls.clear()
+
+
+def test_knn_restores_the_ufunc_buffer_size(monkeypatch) -> None:
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((300, 4))
+    self_idx = np.arange(300, dtype=np.int64)
+    seen = []
+    real_tile = _kernels._sq_dists_into
+
+    def tile(*args):
+        seen.append(np.getbufsize())
+        return real_tile(*args)
+
+    monkeypatch.setattr(_kernels, "_sq_dists_into", tile)
+    old = np.setbufsize(4096)
+    try:
+        knn(x, x, 3, self_idx=self_idx)
+        knn(x[:50], x, 3)
+        pairwise_sq_dists(x, x[:7])
+        assert np.getbufsize() == 4096
+        assert seen and set(seen) == {_kernels._UFUNC_BUFSIZE}
+
+        # an error partway through a search leaves the caller's size too
+        folds = []
+
+        def failing_fold(*args):
+            folds.append(1)
+            if len(folds) == 3:
+                raise RuntimeError("injected")
+
+        monkeypatch.setattr(_kernels, "_fold", failing_fold)
+        monkeypatch.setattr(_kernels, "_SELF_BLOCK", 16)
+        with pytest.raises(RuntimeError, match="injected"):
+            knn(x, x, 3, self_idx=self_idx)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+
+
 def test_kernels_reject_non_finite_input() -> None:
     x = np.array([[0.0], [np.nan], [1.0], [2.0], [3.0]])
     with pytest.raises(ValueError, match="finite"):
