@@ -9,30 +9,37 @@ a block of reference columns, with one preallocated scratch tile for the
 per-feature term.  Every element sees the same operations in the same
 order as the untiled loop, so the results are bitwise equal to it.
 
-``knn`` streams query tiles: it computes the distances of one tile of
-query rows against all of ``ref``, sets each row's excluded self
-distance to ``inf``, selects that tile's neighbours and moves on, so the
-full n_query x n_ref matrix is never held.  Selection finds each row's
-k-th smallest distance with ``np.partition`` and keeps the candidates at
-or below it; they are sorted by distance, stably in reference index
-order, so distance ties go to the lower reference row index exactly as a
-full stable sort of the row would put them.  The excluded self sorts
-after every other candidate, so it is never returned as a neighbour,
-even when the other distances overflow to ``inf`` too.
+``knn`` builds every neighbour list with one merge, ``_fold``.  Each
+query row's k-list starts empty: an empty slot holds distance ``inf``
+and index ``_EMPTY``, the int64 maximum, which sorts after every row
+index.  A fold keeps the tile entries at or below a row's k-th distance
+and sorts them with the row's list by distance, stably, tile entries
+first.  Each fold's reference rows have lower indices than the rows
+already in its lists, so distance ties go to the lower reference row
+index exactly as a full stable sort of the row would put them.  While a list's k-th
+distance is ``inf``, the bound is also the tile row's own k-th smallest
+entry (``np.partition``), which is exact: k entries of its own row beat
+any entry above it.  A row's excluded self is marked ``nan``, which
+partitions last and compares false, so it is never kept.  This relies
+on every fold's tile row holding at least k entries that are not
+``nan``: ``knn`` checks k against the eligible rows, and every
+self-search block holds at least k + 1 rows.  So a list's first fold
+fills all k slots, and ``_EMPTY`` is never returned.
 
-A self-search, ``knn(x, x, k, self_idx=arange(n))`` with one array
-object as both query and ref (as the resamplers call it), computes each
-pair's distance once.  The rows are cut into equal blocks of about 256
-rows, at least k + 1 each.  Each block's own tile seeds its rows'
-k-lists through the same selection; every other block pair's tile is
-computed once and folded into both blocks' lists, keeping the entries
-at or below a row's current k-th distance in (distance, index) order.
-fl(a - b) = -fl(b - a), so the transposed tile holds the squares, summed
-from 0 in the same feature order, that the other block's rows would
-compute: the results are bitwise equal to the streamed search.  At 30
-features and k=5 (2-vCPU host, one thread, median of 5) a 5,000-row
-self-search takes 0.49 s against 0.79 s streamed, and 10,000 rows
-1.68 s against 3.20 s.
+The streamed search computes one strip of query rows against all of
+``ref`` at a time and folds it into the strip's empty lists, so the
+full n_query x n_ref matrix is never held.  A self-search,
+``knn(x, x, k, self_idx=arange(n))`` with one array object as both
+query and ref (as the resamplers call it), computes each pair's
+distance once.  The rows are cut into equal blocks of about 256 rows,
+at least k + 1 each, and every block pair's tile is computed once and
+folded into both blocks' lists, as it stands and transposed, the last
+blocks first.  fl(a - b) = -fl(b - a), so the transposed tile holds
+the squares, summed from 0 in the same feature order, that the other
+block's rows would compute: the results are bitwise equal to the
+streamed search.  At 30 features and k=5 (2-vCPU host, one thread,
+median of 5) a 5,000-row self-search takes 0.49 s against 0.79 s
+streamed, and 10,000 rows 1.68 s against 3.20 s.
 
 Every tile runs with numpy's ufunc buffer at 512 elements, and the
 caller's size is restored on return or error.  At numpy's default
@@ -73,6 +80,9 @@ _UFUNC_BUFSIZE = 512
 # Rows per block of a self-search, so that a block pair's tile holds
 # about _TILE_ELEMS distances.
 _SELF_BLOCK = 256
+# Index of an empty k-list slot, whose distance is inf: it sorts after
+# every reference row index.
+_EMPTY = np.iinfo(np.int64).max
 
 
 def backend_name() -> str:
@@ -143,46 +153,34 @@ def pairwise_sq_dists(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return out
 
 
-def _select(dists: np.ndarray, k: int, excl: np.ndarray) -> np.ndarray:
-    """Column indices of the k smallest entries of each row, nearest first.
-
-    Ties go to the lower column index, as in a stable argsort of the row,
-    except that row i's excluded column ``excl[i]`` (set to ``inf`` by
-    the caller) sorts after every other column, also after distances
-    that overflowed to ``inf``.
-    """
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
-    # candidates in row-major order: by row, then by column index
-    rows, cols = np.nonzero(dists <= kth[:, None])
-    # stable, so candidates of equal distance keep their index order
-    order = np.lexsort((cols == excl[rows], dists[rows, cols], rows))
-    # each row's candidates keep their place; a row holds more than k of
-    # them only when tied at the k-th distance
-    first = np.searchsorted(rows, np.arange(len(dists)))
-    return cols[order][first[:, None] + np.arange(k)]
-
-
 def _fold(tile: np.ndarray, col0: int, sqd: np.ndarray, idx: np.ndarray) -> None:
     """Merge a distance tile into its rows' k-lists, in place.
 
     Column c of ``tile`` is reference row ``col0 + c``; ``sqd`` and
     ``idx`` hold each row's k nearest so far, ordered by (distance,
-    index).  Only entries at or below a row's current k-th distance can
-    enter its list.
+    index).  Only entries at or below a row's k-th distance can enter
+    its list, and ``nan`` entries never do.  Each tile row must hold at
+    least k entries that are not ``nan``, and the tile's reference rows
+    must have lower indices than the rows already in its lists.
     """
     k = sqd.shape[1]
+    bound = sqd[:, -1:]
+    if np.isinf(bound).any():
+        # an unfilled list bounds nothing; the row's own k-th entry does
+        bound = np.minimum(bound, np.partition(tile, k - 1, axis=1)[:, k - 1, None])
     # row-major positions, so rows come out sorted
-    rows, cols = np.divmod(np.flatnonzero(tile <= sqd[:, -1:]), tile.shape[1])
+    rows, cols = np.divmod(np.flatnonzero(tile <= bound), tile.shape[1])
     if not len(rows):
         return
     # only the rows with a candidate are merged
     new_row = np.diff(rows, prepend=-1) != 0
     hit = rows[new_row]
     at = np.cumsum(new_row) - 1
-    r = np.concatenate([np.repeat(np.arange(len(hit)), k), at])
-    d = np.concatenate([sqd[hit].ravel(), tile[rows, cols]])
-    i = np.concatenate([idx[hit].ravel(), cols + col0])
-    order = np.lexsort((i, d, r))
+    # tile entries first, so a stable sort puts them ahead of equal list entries
+    r = np.concatenate([at, np.repeat(np.arange(len(hit)), k)])
+    d = np.concatenate([tile[rows, cols], sqd[hit].ravel()])
+    i = np.concatenate([cols + col0, idx[hit].ravel()])
+    order = np.lexsort((d, r))
     first = np.searchsorted(r[order], np.arange(len(hit)))
     take = order[first[:, None] + np.arange(k)]
     sqd[hit] = d[take]
@@ -190,14 +188,15 @@ def _fold(tile: np.ndarray, col0: int, sqd: np.ndarray, idx: np.ndarray) -> None
 
 
 def _self_knn(x: np.ndarray, k: int, idx: np.ndarray, sqd: np.ndarray) -> None:
-    """``knn(x, x, k, self_idx=arange(n))`` into ``idx`` and ``sqd``.
+    """``knn(x, x, k, self_idx=arange(n))`` into the empty lists ``idx``, ``sqd``.
 
     The rows are cut into equal blocks of at least k + 1 rows.  Each
-    block pair's tile is computed once: the diagonal tile seeds its
-    rows' lists, and an off-diagonal tile is folded into both blocks'
-    lists, as it stands and transposed.  fl(a - b) = -fl(b - a), so the
-    transposed tile holds the very distances the other block's rows
-    would compute.
+    block pair's tile is computed once and folded into both blocks'
+    lists, as it stands and transposed; a diagonal tile, its self
+    distances ``nan``, only once.  The pairs run from the last block
+    back, so each row's lists take the blocks in falling order.
+    fl(a - b) = -fl(b - a), so the transposed tile holds the very
+    distances the other block's rows would compute.
     """
     n = len(x)
     blocks = max(1, min(-(-n // _SELF_BLOCK), n // (k + 1)))
@@ -206,21 +205,17 @@ def _self_knn(x: np.ndarray, k: int, idx: np.ndarray, sqd: np.ndarray) -> None:
     x_t = np.ascontiguousarray(x.T)
     tile_buf = np.empty((size, size))
     diff = np.empty((size, size))
-    for b in range(blocks):
+    for b in reversed(range(blocks)):
         b0, b1 = edges[b], edges[b + 1]
-        tile = tile_buf[: b1 - b0, : b1 - b0]
-        _sq_dists_into(x[b0:b1], x_t[:, b0:b1], tile, diff)
-        own = np.arange(b1 - b0)
-        tile[own, own] = np.inf
-        order = _select(tile, k, own)
-        idx[b0:b1] = order + b0
-        sqd[b0:b1] = np.take_along_axis(tile, order, axis=1)
-        for a in range(b):
+        for a in reversed(range(b + 1)):
             a0, a1 = edges[a], edges[a + 1]
             tile = tile_buf[: a1 - a0, : b1 - b0]
             _sq_dists_into(x[a0:a1], x_t[:, b0:b1], tile, diff)
+            if a == b:
+                np.fill_diagonal(tile, np.nan)
             _fold(tile, b0, sqd[a0:a1], idx[a0:a1])
-            _fold(tile.T, a0, sqd[b0:b1], idx[b0:b1])
+            if a < b:
+                _fold(tile.T, a0, sqd[b0:b1], idx[b0:b1])
 
 
 def knn(
@@ -255,8 +250,8 @@ def knn(
         raise ValueError(f"k={k} exceeds the {eligible} eligible reference rows")
 
     n_query = query.shape[0]
-    idx = np.empty((n_query, k), dtype=np.int64)
-    sqd = np.empty((n_query, k), dtype=np.float64)
+    idx = np.full((n_query, k), _EMPTY)
+    sqd = np.full((n_query, k), np.inf)
     with _tile_buffer():
         if self_search and np.array_equal(self_idx, np.arange(n_query)):
             _self_knn(query, k, idx, sqd)
@@ -271,8 +266,6 @@ def knn(
             _sq_dists_into(query[start:stop], ref_t, dists, diff)
             excl = self_idx[start:stop]
             hit = np.nonzero(excl >= 0)[0]
-            dists[hit, excl[hit]] = np.inf
-            order = _select(dists, k, excl)
-            idx[start:stop] = order
-            sqd[start:stop] = np.take_along_axis(dists, order, axis=1)
+            dists[hit, excl[hit]] = np.nan
+            _fold(dists, 0, sqd[start:stop], idx[start:stop])
     return idx, sqd

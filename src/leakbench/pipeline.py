@@ -170,17 +170,17 @@ def fit_scaler(ds: Dataset, rows: np.ndarray, method: str) -> ScalerParams:
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("scaler fit requires at least one row")
-    fitted_on = "full_dataset" if rows.size == ds.n_rows else "train_only"
+    if rows.min() < 0 or rows.max() >= ds.n_rows:
+        bad = rows[(rows < 0) | (rows >= ds.n_rows)][0]
+        raise ValueError(f"scaler fit row {bad} is outside 0..{ds.n_rows - 1}")
+    in_order = rows.size == ds.n_rows and np.array_equal(rows, np.arange(ds.n_rows))
+    full = in_order or (rows.size >= ds.n_rows and np.bincount(rows, minlength=ds.n_rows).all())
+    fitted_on = "full_dataset" if full else "train_only"
     center = np.zeros(ds.n_features)  # "none": the identity, which reads no rows
     scale = np.ones(ds.n_features)
     if method != "none":
         x = ds.features
-        in_place = (
-            rows.size == ds.n_rows
-            and x.flags.c_contiguous
-            and np.array_equal(rows, np.arange(ds.n_rows))
-        )
-        if not in_place:
+        if not (in_order and x.flags.c_contiguous):
             x = x[rows]
         if method == "standardize":
             center, scale = x.mean(axis=0), x.std(axis=0)

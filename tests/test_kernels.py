@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,19 @@ def test_knn_restores_the_ufunc_buffer_size(monkeypatch) -> None:
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(old)
+
+
+def test_searches_on_finite_input_raise_no_warning() -> None:
+    # the excluded self is marked nan inside the kernel; no search may warn on it
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((300, 4))
+    x[1::5] = x[0::5]  # exact ties
+    self_idx = np.arange(300, dtype=np.int64)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        knn(x, x, 5, self_idx=self_idx)  # self-search, two blocks
+        knn(x, x.copy(), 5, self_idx=self_idx)  # streamed, excluding self
+        knn(x[:50], x, 5)  # streamed, no exclusion
 
 
 def test_kernels_reject_non_finite_input() -> None:

@@ -285,6 +285,33 @@ def test_fit_scaler_validation() -> None:
         fit_scaler(ds, np.array([0]), "robust")
     with pytest.raises(ValueError, match="at least one row"):
         fit_scaler(ds, np.array([], dtype=np.int64), "standardize")
+    ds = make_dataset([[1.0], [2.0], [30.0]], [0, 1, 0])
+    for rows, bad in (([-1], -1), ([0, 3, 1], 3), ([2, -4, 5], -4)):
+        with pytest.raises(ValueError, match=rf"row {bad} is outside 0\.\.2"):
+            fit_scaler(ds, np.array(rows), "minmax")
+
+
+def test_fit_scaler_reports_full_dataset_exactly_when_the_rows_cover_every_row() -> None:
+    # row 2 is never read, so the fit is not a full-dataset fit
+    ds = make_dataset([[1.0], [2.0], [30.0]], [0, 1, 0])
+    params = fit_scaler(ds, np.array([0, 1, 1]), "minmax")
+    assert params.fitted_on == "train_only" and params.center.tolist() == [1.0]
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        ds = make_dataset(rng.standard_normal((n, 2)), rng.integers(0, 2, n))
+        kind = rng.integers(4)
+        if kind == 0:  # draws with repeats, of any length
+            rows = rng.integers(0, n, int(rng.integers(1, 2 * n + 1)))
+        elif kind == 1:  # a permutation of every row
+            rows = rng.permutation(n)
+        elif kind == 2:  # a subset without repeats
+            rows = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        else:  # every row, some repeated
+            rows = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, 3)]))
+        for method in pipeline.SCALER_METHODS:
+            full = fit_scaler(ds, rows, method).fitted_on == "full_dataset"
+            assert full == (set(rows.tolist()) == set(range(n)))
 
 
 # ---------------------------------------------------------------------------
