@@ -236,15 +236,18 @@ def knn(
     ref = query if self_search else _as_matrix(ref)
     if query.shape[1] != ref.shape[1]:
         raise ValueError("query and ref must have the same number of columns")
+    n_ref = ref.shape[0]
     if self_idx is None:
         self_idx = np.full(query.shape[0], -1, dtype=np.int64)
     else:
         self_idx = np.ascontiguousarray(self_idx, dtype=np.int64)
         if self_idx.shape != (query.shape[0],):
             raise ValueError("self_idx must have one entry per query row")
+        bad = self_idx[(self_idx < -1) | (self_idx >= n_ref)]
+        if len(bad):
+            raise ValueError(f"self_idx entry {bad[0]} is neither -1 nor a row of ref")
     if k < 1:
         raise ValueError("k must be at least 1")
-    n_ref = ref.shape[0]
     eligible = n_ref - (1 if np.any(self_idx >= 0) else 0)
     if k > eligible:
         raise ValueError(f"k={k} exceeds the {eligible} eligible reference rows")

@@ -35,6 +35,10 @@ LABEL_COLUMN = "Class"
 # Observation window of the synthetic generator: two days, in seconds.
 TIME_SPAN_SECONDS = 172800.0
 
+# Rows per blocked gather of feature rows (interpolated synthetic rows, a leaky cell's
+# training rows, the audit's keys); each block's gathers are its only temporaries.
+ROW_BLOCK = 4096
+
 
 @dataclass
 class RowOrigin:

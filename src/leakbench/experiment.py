@@ -74,14 +74,8 @@ SCHEMA_VERSION = "1"
 # The report's per-cell column names, in report order, taken from the
 # result dataclasses so that every output lists the same fields.
 CONFUSION_NAMES = tuple(f.name for f in fields(ConfusionMatrix))
-METRIC_NAMES = (*(f.name for f in fields(ScalarMetrics)), "roc_auc", "average_precision")
+METRIC_NAMES = tuple(f.name for f in fields(ScalarMetrics))
 COUNTER_NAMES = tuple(f.name for f in fields(ContaminationReport))
-
-
-def metric_dict(report: MetricReport) -> dict:
-    """The report's metrics keyed and ordered by METRIC_NAMES."""
-    curves = {"roc_auc": report.roc_auc, "average_precision": report.average_precision}
-    return {**asdict(report.scalars), **curves}
 
 
 # Metadata of a GridConfig field that has a Python default but that config
@@ -206,7 +200,7 @@ class CellResult:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         measured = self.metrics is not None
         out["confusion"] = asdict(self.metrics.confusion) if measured else None
-        out["metrics"] = metric_dict(self.metrics) if measured else None
+        out["metrics"] = asdict(self.metrics.scalars) if measured else None
         out["contamination"] = None if self.contamination is None else asdict(self.contamination)
         out["notes"] = list(self.notes)
         out["history"] = list(self.history)
@@ -230,7 +224,7 @@ class GridReport:
             table[protocol] = {}
             for n in self.config.n_values:
                 rows = [
-                    metric_dict(c.metrics)
+                    asdict(c.metrics.scalars)
                     for c in self.cells
                     if c.protocol == protocol and c.n_hidden == n and c.error is None
                 ]

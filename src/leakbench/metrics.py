@@ -2,9 +2,9 @@
 
 `evaluate` sorts the scores once and reads the confusion matrix at the
 threshold, the ROC curve and the precision-recall curve off the same
-cumulative counts, one step per group of tied scores.  Ratios with a zero
-denominator are reported as None (rendered "n/a" downstream), never
-silently as 0.
+cumulative counts, one step per group of tied scores.  Precision with no
+predicted positive and f1 with no true positive are reported as None
+(rendered "n/a" downstream), never silently as 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "ConfusionMatrix",
     "MetricReport",
     "ScalarMetrics",
-    "compute_metrics",
     "evaluate",
 ]
 
@@ -29,18 +28,18 @@ class ConfusionMatrix:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class ScalarMetrics:
-    accuracy: float | None
-    precision: float | None
-    recall: float | None
-    specificity: float | None
-    f1: float | None
+    """A cell's metrics; the field order is the report's column order."""
+
+    accuracy: float
+    precision: float | None  # None when nothing is predicted positive
+    recall: float
+    specificity: float
+    f1: float | None  # None when tp == 0
+    roc_auc: float
+    average_precision: float
 
 
 @dataclass
@@ -50,29 +49,7 @@ class MetricReport:
     confusion: ConfusionMatrix
     scalars: ScalarMetrics
     roc_points: np.ndarray  # (m, 2) columns fpr, tpr
-    roc_auc: float
     prc_points: np.ndarray  # (m, 2) columns recall, precision
-    average_precision: float
-
-
-def _ratio(num: int, den: int) -> float | None:
-    return num / den if den > 0 else None
-
-
-def compute_metrics(cm: ConfusionMatrix) -> ScalarMetrics:
-    precision = _ratio(cm.tp, cm.tp + cm.fp)
-    recall = _ratio(cm.tp, cm.tp + cm.fn)
-    if precision is None or recall is None or precision + recall == 0:
-        f1 = None
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return ScalarMetrics(
-        accuracy=_ratio(cm.tp + cm.tn, cm.total),
-        precision=precision,
-        recall=recall,
-        specificity=_ratio(cm.tn, cm.tn + cm.fp),
-        f1=f1,
-    )
 
 
 def evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> MetricReport:
@@ -88,7 +65,8 @@ def evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> Metric
     - the precision-recall points and the step-sum average precision
       AP = sum over steps of (R_n - R_{n-1}) * P_n with R_0 = 0, no
       interpolation.
-    Raises if either class is missing.
+    Raises if a label is not 0 or 1, a score is NaN or either class is
+    missing.
     """
     labels = np.asarray(labels)
     if np.any((labels != 0) & (labels != 1)):
@@ -97,6 +75,8 @@ def evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> Metric
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
         raise ValueError("labels and predictions must have the same length")
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -112,16 +92,24 @@ def evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> Metric
 
     above = int(np.count_nonzero(sorted_scores[ends] >= threshold))
     tp, fp = (int(tps[above - 1]), int(fps[above - 1])) if above else (0, 0)
-    cm = ConfusionMatrix(tp=tp, fp=fp, tn=n_neg - fp, fn=n_pos - tp)
+    tn = n_neg - fp
 
     fpr = np.concatenate([[0.0], fps / n_neg])
     tpr = np.concatenate([[0.0], tps / n_pos])
     precision = tps / counts
+    p = tp / (tp + fp) if tp + fp else None
+    r = tp / n_pos
     return MetricReport(
-        confusion=cm,
-        scalars=compute_metrics(cm),
+        confusion=ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=n_pos - tp),
+        scalars=ScalarMetrics(
+            accuracy=(tp + tn) / len(labels),
+            precision=p,
+            recall=r,
+            specificity=tn / n_neg,
+            f1=2 * p * r / (p + r) if tp else None,
+            roc_auc=float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)),
+            average_precision=float(np.sum(np.diff(tpr) * precision)),
+        ),
         roc_points=np.column_stack([fpr, tpr]),
-        roc_auc=float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)),
         prc_points=np.column_stack([tpr[1:], precision]),
-        average_precision=float(np.sum(np.diff(tpr) * precision)),
     )

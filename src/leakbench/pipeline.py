@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import data
 from .data import ORIGINAL, SYNTHETIC, Dataset
 from .metrics import MetricReport, evaluate
 from .model import MlpConfig, forward, init_mlp, train
@@ -40,10 +41,6 @@ __all__ = [
 SPLIT_STRATEGIES = ("random", "stratified", "temporal")
 SCALER_METHODS = ("standardize", "minmax", "none")
 PROTOCOLS = ("leaky", "clean")
-
-# Rows per block of the in-place compaction of a leaky cell's training rows and of the
-# audit's key rounding; each block's gather is the only temporary.
-ROW_BLOCK = 4096
 
 
 @dataclass
@@ -167,9 +164,12 @@ def fit_scaler(ds: Dataset, rows: np.ndarray, method: str) -> ScalerParams:
     """
     if method not in SCALER_METHODS:
         raise ValueError(f"unknown scaler {method!r}; expected one of {SCALER_METHODS}")
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     if rows.size == 0:
         raise ValueError("scaler fit requires at least one row")
+    if rows.dtype.kind not in "iu":
+        raise ValueError(f"scaler fit rows must be integer row ids, not {rows.dtype}")
+    rows = rows.astype(np.int64, copy=False)
     if rows.min() < 0 or rows.max() >= ds.n_rows:
         bad = rows[(rows < 0) | (rows >= ds.n_rows)][0]
         raise ValueError(f"scaler fit row {bad} is outside 0..{ds.n_rows - 1}")
@@ -207,14 +207,14 @@ def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
 def _row_keys(ds: Dataset, rows: np.ndarray) -> Iterator[bytes]:
     """One key per selected row: its features at 12 significant digits, plus its label.
 
-    ``rows`` is a boolean mask.  The rows are rounded ``ROW_BLOCK`` at a
+    ``rows`` is a boolean mask.  The rows are rounded ``data.ROW_BLOCK`` at a
     time and the keys are yielded one by one, so the rounding's
     temporaries stay block-sized and a caller that keeps only distinct
     keys never holds one per duplicate row.
     """
     positions = np.flatnonzero(rows)
-    for start in range(0, len(positions), ROW_BLOCK):
-        block = positions[start : start + ROW_BLOCK]
+    for start in range(0, len(positions), data.ROW_BLOCK):
+        block = positions[start : start + data.ROW_BLOCK]
         rounded = _round_significant(ds.features.take(block, axis=0), 12)
         for row, label in zip(rounded, ds.labels[block]):
             yield row.tobytes() + bytes([label])
@@ -278,8 +278,8 @@ def _front_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     from position ``rows[i] >= i``, so a block's rows are gathered before
     any row they come from is overwritten.
     """
-    for start in range(0, len(rows), ROW_BLOCK):
-        block = rows[start : start + ROW_BLOCK]
+    for start in range(0, len(rows), data.ROW_BLOCK):
+        block = rows[start : start + data.ROW_BLOCK]
         x[start : start + len(block)] = x.take(block, axis=0)
     return x[: len(rows)]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, data
 from .data import SYNTHETIC, Dataset, RowOrigin
 from .seeding import CELL_SEED
 
@@ -109,11 +109,6 @@ class ResampleResult:
 # ---------------------------------------------------------------------------
 
 
-# Rows per block when synthetic rows are interpolated into their output buffer; the
-# block's parent gathers are the only temporaries (about 1 MB each at 30 features).
-APPEND_BLOCK = 4096
-
-
 def _class_split(ds: Dataset) -> tuple[int, np.ndarray, np.ndarray]:
     """Minority label plus index arrays (minority, majority), ascending."""
     pos = np.nonzero(ds.labels == 1)[0]
@@ -177,7 +172,7 @@ def _append_synthetic(
     copied into its head, and the new rows are written into its tail.
     ``fill(tail)`` writes them when they are not interpolations (copies,
     centroids); otherwise they are ``interpolate(parents, delta)``,
-    computed ``APPEND_BLOCK`` rows at a time, so no temporary is larger
+    computed ``data.ROW_BLOCK`` rows at a time, so no temporary is larger
     than a block.  The time column always goes through the same
     interpolation.  The tags record the parents' source row ids
     (``ds.origin.parent_a``), not their positions, so they stay valid when
@@ -190,8 +185,8 @@ def _append_synthetic(
     if fill is not None:
         fill(tail)
     else:
-        for start in range(0, n_new, APPEND_BLOCK):
-            block = slice(start, start + APPEND_BLOCK)
+        for start in range(0, n_new, data.ROW_BLOCK):
+            block = slice(start, start + data.ROW_BLOCK)
             # unnamed, so the last block's gathers are not kept alive past the loop
             interpolate(
                 ds.features.take(parent_a[block], axis=0),

@@ -282,7 +282,7 @@ def _auc_failures() -> tuple[int, list[str]]:
         scores = rng.random(n)
         if checked % 2 == 0:
             scores = np.round(scores, 1)  # force score ties
-        auc = evaluate(labels, scores, 0.5).roc_auc
+        auc = evaluate(labels, scores, 0.5).scalars.roc_auc
         pos, neg = scores[labels == 1], scores[labels == 0]
         wins = (pos[:, None] > neg[None, :]).sum()
         ties = (pos[:, None] == neg[None, :]).sum()

@@ -346,5 +346,22 @@ def test_knn_rejects_bad_shapes() -> None:
         knn(np.zeros((2, 2)), np.zeros((4, 2)), 0)
 
 
+def test_knn_rejects_a_self_idx_entry_outside_ref() -> None:
+    # -2 used to turn the exclusion off, and n_ref died with a bare IndexError
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((6, 2))
+    for bad in (-2, 6, 99):
+        self_idx = np.arange(6, dtype=np.int64)
+        self_idx[3] = bad
+        for ref in (x, x.copy()):  # self-search and streamed
+            with pytest.raises(ValueError, match=rf"self_idx entry {bad} is neither -1 nor a row"):
+                knn(x, ref, 2, self_idx=self_idx)
+    # -1 excludes nothing and the last row of ref is a row
+    self_idx = np.array([-1, 1, 2, 3, 4, 5])
+    idx, sqd = knn(x, x, 2, self_idx=self_idx)
+    assert idx[0, 0] == 0 and sqd[0, 0] == 0.0
+    assert all(i not in idx[i] for i in range(1, 6))
+
+
 def test_backend_name_reports_selection() -> None:
     assert _kernels.backend_name() == "numpy"

@@ -12,7 +12,7 @@ import pytest
 from leakbench.metrics import (
     ConfusionMatrix,
     MetricReport,
-    compute_metrics,
+    ScalarMetrics,
     evaluate,
 )
 
@@ -25,10 +25,9 @@ from leakbench.metrics import (
 def test_confusion_hand_example() -> None:
     labels = np.array([1, 1, 0, 0, 1, 0])
     preds = np.array([1, 0, 0, 1, 1, 0])
-    cm = evaluate(labels, preds, threshold=0.5).confusion
+    rep = evaluate(labels, preds, threshold=0.5)
+    cm, m = rep.confusion, rep.scalars
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (2, 1, 2, 1)
-    assert cm.total == 6
-    m = compute_metrics(cm)
     assert m.accuracy == pytest.approx(4 / 6)
     assert m.precision == pytest.approx(2 / 3)
     assert m.recall == pytest.approx(2 / 3)
@@ -43,40 +42,45 @@ def test_confusion_validates_inputs() -> None:
         evaluate(np.array([0, 1]), np.array([0.0, 1.0, 1.0]), 0.5)
 
 
+def test_evaluate_refuses_nan_scores() -> None:
+    # a NaN used to sort below every score and count as a negative prediction
+    labels = np.array([0, 1, 0, 1])
+    for scores in ([0.1, np.nan, 0.3, 0.9], [np.nan] * 4):
+        with pytest.raises(ValueError, match="scores must not be NaN"):
+            evaluate(labels, np.array(scores), 0.5)
+    assert evaluate(labels, np.array([0.1, -np.inf, 0.3, np.inf]), 0.5).scalars.roc_auc == 0.5
+
+
 def test_zero_denominators_become_none() -> None:
+    # evaluate refuses a side without both classes (test_roc_requires_both_classes), so
+    # recall, specificity and accuracy always have a denominator; precision and f1 may not
+    labels = np.array([1, 1, 1, 0, 0, 0, 0, 0])
+
     # no predicted positives: precision undefined, recall 0, f1 undefined
-    m = compute_metrics(ConfusionMatrix(tp=0, fp=0, tn=5, fn=3))
+    m = evaluate(labels, np.full(8, 0.2), 0.5).scalars
     assert m.precision is None
     assert m.recall == 0.0
     assert m.f1 is None
+    assert m.accuracy == 5 / 8 and m.specificity == 1.0
 
-    # no actual positives: recall undefined
-    m = compute_metrics(ConfusionMatrix(tp=0, fp=2, tn=5, fn=0))
-    assert m.recall is None
-    assert m.f1 is None
-
-    # defined but both zero: f1 undefined rather than 0/0
-    m = compute_metrics(ConfusionMatrix(tp=0, fp=2, tn=5, fn=3))
+    # predicted positives but no true positive: precision and recall 0, f1 undefined
+    m = evaluate(labels, np.array([0.1, 0.2, 0.3, 0.9, 0.8, 0.1, 0.1, 0.1]), 0.5).scalars
     assert m.precision == 0.0 and m.recall == 0.0
     assert m.f1 is None
-
-    # empty matrix: everything undefined
-    m = compute_metrics(ConfusionMatrix(tp=0, fp=0, tn=0, fn=0))
-    assert m.accuracy is None and m.specificity is None
+    assert m.specificity == 3 / 5
 
 
 def test_f1_is_harmonic_mean() -> None:
     rng = np.random.default_rng(10)
     for _ in range(50):
-        tp = int(rng.integers(1, 50))
-        fp = int(rng.integers(0, 50))
-        fn = int(rng.integers(0, 50))
-        m = compute_metrics(ConfusionMatrix(tp=tp, fp=fp, tn=0, fn=fn))
-        want = 2 / (1 / m.precision + 1 / m.recall) if m.precision and m.recall else None
-        if want is None:
-            assert m.f1 is None or m.f1 == pytest.approx(0.0)
+        n = int(rng.integers(2, 100))
+        labels = (rng.random(n) < 0.4).astype(np.int64)
+        labels[:2] = (0, 1)
+        m = evaluate(labels, rng.random(n), float(rng.random())).scalars
+        if not m.precision:  # no true positive
+            assert m.f1 is None
         else:
-            assert m.f1 == pytest.approx(want, rel=1e-12)
+            assert m.f1 == pytest.approx(2 / (1 / m.precision + 1 / m.recall), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +92,7 @@ def test_roc_frozen_example() -> None:
     labels = np.array([0, 0, 1, 1])
     scores = np.array([0.1, 0.4, 0.35, 0.8])
     rep = evaluate(labels, scores, 0.5)
-    points, auc = rep.roc_points, rep.roc_auc
+    points, auc = rep.roc_points, rep.scalars.roc_auc
     assert auc == pytest.approx(0.75)
     np.testing.assert_allclose(
         points,
@@ -98,16 +102,16 @@ def test_roc_frozen_example() -> None:
 
 def test_roc_perfect_and_inverted() -> None:
     labels = np.array([1, 1, 0, 0])
-    auc = evaluate(labels, np.array([0.9, 0.8, 0.2, 0.1]), 0.5).roc_auc
+    auc = evaluate(labels, np.array([0.9, 0.8, 0.2, 0.1]), 0.5).scalars.roc_auc
     assert auc == pytest.approx(1.0)
-    auc = evaluate(labels, np.array([0.1, 0.2, 0.8, 0.9]), 0.5).roc_auc
+    auc = evaluate(labels, np.array([0.1, 0.2, 0.8, 0.9]), 0.5).scalars.roc_auc
     assert auc == pytest.approx(0.0)
 
 
 def test_roc_all_tied_scores_is_chance() -> None:
     labels = np.array([1, 0, 1, 0, 0])
     rep = evaluate(labels, np.full(5, 0.7), 0.5)
-    assert rep.roc_auc == pytest.approx(0.5)
+    assert rep.scalars.roc_auc == pytest.approx(0.5)
     np.testing.assert_allclose(rep.roc_points, [[0.0, 0.0], [1.0, 1.0]])
 
 
@@ -122,8 +126,8 @@ def test_roc_is_scale_invariant() -> None:
     rng = np.random.default_rng(11)
     labels = (rng.random(60) < 0.3).astype(np.int64)
     scores = rng.random(60)
-    auc_a = evaluate(labels, scores, 0.5).roc_auc
-    auc_b = evaluate(labels, scores * 100.0 - 3.0, 0.5).roc_auc
+    auc_a = evaluate(labels, scores, 0.5).scalars.roc_auc
+    auc_b = evaluate(labels, scores * 100.0 - 3.0, 0.5).scalars.roc_auc
     assert auc_a == pytest.approx(auc_b, rel=1e-12)
 
 
@@ -151,7 +155,7 @@ def test_roc_auc_equals_pairwise_statistic() -> None:
         scores = rng.random(n)
         if trial % 2 == 0:
             scores = np.round(scores, 1)  # heavy ties
-        auc = evaluate(labels, scores, 0.5).roc_auc
+        auc = evaluate(labels, scores, 0.5).scalars.roc_auc
         assert abs(auc - mann_whitney_auc(labels, scores)) <= 1e-12
 
 
@@ -164,21 +168,21 @@ def test_pr_frozen_best_ranking() -> None:
     labels = np.array([1, 0, 1])
     scores = np.array([0.9, 0.8, 0.7])
     rep = evaluate(labels, scores, 0.5)
-    assert rep.average_precision == pytest.approx(5 / 6)
+    assert rep.scalars.average_precision == pytest.approx(5 / 6)
     np.testing.assert_allclose(rep.prc_points, [[0.5, 1.0], [0.5, 0.5], [1.0, 2 / 3]])
 
 
 def test_pr_frozen_worst_ranking() -> None:
     labels = np.array([0, 0, 1, 1])
     scores = np.array([0.4, 0.3, 0.2, 0.1])
-    ap = evaluate(labels, scores, 0.5).average_precision
+    ap = evaluate(labels, scores, 0.5).scalars.average_precision
     assert ap == pytest.approx(5 / 12)
 
 
 def test_pr_perfect_ranking_has_ap_one() -> None:
     labels = np.array([1, 1, 0, 0, 0])
     scores = np.array([0.9, 0.8, 0.3, 0.2, 0.1])
-    ap = evaluate(labels, scores, 0.5).average_precision
+    ap = evaluate(labels, scores, 0.5).scalars.average_precision
     assert ap == pytest.approx(1.0)
 
 
@@ -191,7 +195,7 @@ def test_pr_requires_positives() -> None:
 def test_ap_of_random_scores_near_positive_rate() -> None:
     # with all scores tied there is a single step: AP = precision = rate
     labels = np.array([1] * 3 + [0] * 7)
-    ap = evaluate(labels, np.full(10, 0.5), 0.5).average_precision
+    ap = evaluate(labels, np.full(10, 0.5), 0.5).scalars.average_precision
     assert ap == pytest.approx(0.3)
 
 
@@ -206,7 +210,7 @@ def test_evaluate_bundles_everything() -> None:
     rep = evaluate(labels, scores, threshold=0.5)
     assert (rep.confusion.tp, rep.confusion.fp) == (1, 0)
     assert (rep.confusion.tn, rep.confusion.fn) == (2, 1)
-    assert rep.roc_auc == pytest.approx(0.75)
+    assert rep.scalars.roc_auc == pytest.approx(0.75)
     assert rep.scalars.precision == pytest.approx(1.0)
     assert rep.scalars.recall == pytest.approx(0.5)
 
@@ -238,9 +242,11 @@ def test_specificity_complements_fpr_along_roc() -> None:
 # the one sweep against the per-metric helpers it replaced
 # ---------------------------------------------------------------------------
 
-# The helpers below are the earlier metrics code, kept verbatim as an
-# oracle: `evaluate` used to check the labels in each of them, sort the
-# scores once per curve and count the confusion with four masked sums.
+# The helpers below are the earlier metrics code, kept as an oracle:
+# `evaluate` used to check the labels in each of them, sort the scores
+# once per curve, count the confusion with four masked sums and divide
+# through `_ratio`, which guarded every denominator against zero.  Only
+# `compute_metrics` changed: it returns its five values as a tuple.
 
 
 def _check_binary(values: np.ndarray, what: str) -> np.ndarray:
@@ -314,6 +320,22 @@ def pr_curve(labels: np.ndarray, scores: np.ndarray):
     return np.column_stack([recall, precision]), ap
 
 
+def _ratio(num: int, den: int) -> float | None:
+    return num / den if den > 0 else None
+
+
+def compute_metrics(cm: ConfusionMatrix) -> tuple:
+    """accuracy, precision, recall, specificity and f1 of a confusion matrix."""
+    precision = _ratio(cm.tp, cm.tp + cm.fp)
+    recall = _ratio(cm.tp, cm.tp + cm.fn)
+    if precision is None or recall is None or precision + recall == 0:
+        f1 = None
+    else:
+        f1 = 2 * precision * recall / (precision + recall)
+    accuracy = _ratio(cm.tp + cm.tn, cm.tp + cm.fp + cm.tn + cm.fn)
+    return accuracy, precision, recall, _ratio(cm.tn, cm.tn + cm.fp), f1
+
+
 def reference_evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> MetricReport:
     """Hard metrics at the threshold plus both curves.
 
@@ -327,11 +349,9 @@ def reference_evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float)
     prc_points, ap = pr_curve(labels, scores)
     return MetricReport(
         confusion=cm,
-        scalars=compute_metrics(cm),
+        scalars=ScalarMetrics(*compute_metrics(cm), roc_auc=auc, average_precision=ap),
         roc_points=roc_points,
-        roc_auc=auc,
         prc_points=prc_points,
-        average_precision=ap,
     )
 
 
@@ -349,9 +369,7 @@ def _bits(rep: MetricReport) -> tuple:
         tuple((type(v), v) for v in (cm.tp, cm.fp, cm.tn, cm.fn)),
         tuple(number(v) for v in astuple(rep.scalars)),
         array(rep.roc_points),
-        number(rep.roc_auc),
         array(rep.prc_points),
-        number(rep.average_precision),
     )
 
 

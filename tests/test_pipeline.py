@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import leakbench.data as data
 import leakbench.experiment as experiment
 import leakbench.pipeline as pipeline
 import leakbench.resample as resample
@@ -291,6 +292,18 @@ def test_fit_scaler_validation() -> None:
             fit_scaler(ds, np.array(rows), "minmax")
 
 
+def test_fit_scaler_refuses_rows_that_are_not_row_ids() -> None:
+    # a boolean mask of the train rows used to be read as the row ids 0 and 1
+    ds = make_dataset([[1.0], [2.0], [30.0]], [0, 1, 0])
+    for rows in (np.array([True, False, True]), np.array([0.0, 2.0]), [True, True, True]):
+        with pytest.raises(ValueError, match="rows must be integer row ids, not"):
+            fit_scaler(ds, rows, "minmax")
+    with pytest.raises(ValueError, match="at least one row"):
+        fit_scaler(ds, [], "minmax")  # an empty list is float64 to numpy
+    for rows in ([0, 2], np.array([0, 2], dtype=np.uint8), np.array([0, 2], dtype=np.int32)):
+        assert fit_scaler(ds, rows, "minmax").center.tolist() == [1.0]
+
+
 def test_fit_scaler_reports_full_dataset_exactly_when_the_rows_cover_every_row() -> None:
     # row 2 is never read, so the fit is not a full-dataset fit
     ds = make_dataset([[1.0], [2.0], [30.0]], [0, 1, 0])
@@ -443,7 +456,7 @@ def test_audit_duplicates_match_brute_force_many_instances(monkeypatch) -> None:
 
         train, test = make_dataset(x_train, y_train), make_dataset(x_test, y_test)
         # keys are rounded in blocks; blocks of a few rows put boundaries inside the selection
-        monkeypatch.setattr(pipeline, "ROW_BLOCK", int(block_rng.integers(1, 8)))
+        monkeypatch.setattr(data, "ROW_BLOCK", int(block_rng.integers(1, 8)))
         mask = block_rng.random(n_train) < 0.7
         assert list(pipeline._row_keys(train, mask)) == _whole_selection_keys(train, mask)
         before = train.features.tobytes(), test.features.tobytes()
@@ -668,7 +681,7 @@ def _assert_same_bytes(got: Dataset, want: Dataset, where) -> None:
 def test_append_in_blocks_equals_vstack_append_bitwise() -> None:
     rng = np.random.default_rng(41)
     ds = make_dataset(rng.standard_normal((50, 3)) * 1e3, rng.integers(0, 2, 50), rng.random(50))
-    n_new = 2 * resample.APPEND_BLOCK + 3  # two whole blocks and a short one
+    n_new = 2 * data.ROW_BLOCK + 3  # two whole blocks and a short one
     pa, pb = rng.integers(0, 50, n_new), rng.integers(0, 50, n_new)
     delta = rng.random(n_new)
     before = [a.tobytes() for a in _arrays(ds).values()]
@@ -683,8 +696,7 @@ def test_append_in_blocks_equals_vstack_append_bitwise() -> None:
 
 def test_cell_sides_equal_the_old_order_bitwise(monkeypatch) -> None:
     # blocks of a few rows, so the append and the leaky compaction cross block boundaries
-    monkeypatch.setattr(resample, "APPEND_BLOCK", 16)
-    monkeypatch.setattr(pipeline, "ROW_BLOCK", 16)
+    monkeypatch.setattr(data, "ROW_BLOCK", 16)
     ds = overlap_dataset(seed=5, n=150, rate=0.1)
     for grid in (ds, _fortran_copy(ds)):
         for method in [None, *resample.METHODS]:
