@@ -240,6 +240,9 @@ def knn(
     if self_idx is None:
         self_idx = np.full(query.shape[0], -1, dtype=np.int64)
     else:
+        self_idx = np.asarray(self_idx)
+        if self_idx.dtype.kind not in "iu":  # a cast would read a mask as rows 0 and 1
+            raise ValueError(f"self_idx must hold integer row ids, not {self_idx.dtype}")
         self_idx = np.ascontiguousarray(self_idx, dtype=np.int64)
         if self_idx.shape != (query.shape[0],):
             raise ValueError("self_idx must have one entry per query row")

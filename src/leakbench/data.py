@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import hashlib
+import os
+import shutil
+import tempfile
+import zipfile
 from array import array
 from dataclasses import dataclass, field, fields, replace
 
@@ -34,6 +41,9 @@ LABEL_COLUMN = "Class"
 
 # Observation window of the synthetic generator: two days, in seconds.
 TIME_SPAN_SECONDS = 172800.0
+
+# A parsed CSV's arrays are kept beside it, in <path> + SIDECAR_SUFFIX (see load_csv).
+SIDECAR_SUFFIX = ".leakbench.npz"
 
 # Rows per blocked gather of feature rows (interpolated synthetic rows, a leaky cell's
 # training rows, the audit's keys); each block's gathers are its only temporaries.
@@ -226,17 +236,103 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
     table, and only the record parser raises, so every error is the same
     either way.  An error names a physical line of the file: the line a
     bad record starts on, or the line the csv module stopped on.
+
+    A parsed file's arrays are kept in a sidecar, ``<path>.leakbench.npz``,
+    keyed by the sha256 of the file's bytes and of this module's source.
+    A later load of the same bytes by the same parser reads the sidecar
+    and only the header; any other sidecar is ignored and replaced.
     """
-    header, table = _plain_table(path, expect_schema) or _record_table(path, expect_schema)
-    label_col = header.index(LABEL_COLUMN)
-    time_col = header.index(TIME_COLUMN) if TIME_COLUMN in header else -1
-    feature_cols = [i for i in range(len(header)) if i not in (label_col, time_col)]
-    return Dataset(
-        features=table.take(feature_cols, axis=1),  # C order; a fancy index gives Fortran order
-        labels=table[:, label_col].astype(np.int64),
-        feature_names=tuple(header[i] for i in feature_cols),
-        time=table[:, time_col] if time_col >= 0 else None,
+    path = os.fspath(path)
+    key = _sidecar_key(path)
+    cached = _read_sidecar(path, key) if key else None
+    if cached is not None:
+        # the header gives the feature names and the schema check, which the sidecar skips
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = _read_header(csv.reader(fh), path, expect_schema)
+        features, labels, time = cached
+    else:
+        header, table = _plain_table(path, expect_schema) or _record_table(path, expect_schema)
+        label_col = header.index(LABEL_COLUMN)
+        time_col = header.index(TIME_COLUMN) if TIME_COLUMN in header else -1
+        feature_cols = [i for i in range(len(header)) if i not in (label_col, time_col)]
+        features = table.take(feature_cols, axis=1)  # C order; a fancy index gives Fortran order
+        labels = table[:, label_col].astype(np.int64)
+        time = table[:, time_col] if time_col >= 0 else None
+    ds = Dataset(
+        features=features,
+        labels=labels,
+        feature_names=tuple(h for h in header if h not in (LABEL_COLUMN, TIME_COLUMN)),
+        time=time,
     )
+    if key and cached is None:
+        _write_sidecar(path, key, ds)
+    return ds
+
+
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> bytes | None:
+    """sha256 of this module's source, so that a changed parser never reads an old sidecar."""
+    try:
+        with open(__file__, "rb") as fh:
+            return hashlib.sha256(fh.read()).digest()
+    except OSError:
+        return None
+
+
+def _sidecar_key(path: str) -> bytes | None:
+    """The sha256 of the file's bytes and of this module's source; None if either is unreadable."""
+    source = _source_digest()
+    if source is None:
+        return None
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except OSError:  # the parsers raise the error the file gives
+        return None
+    return digest.digest() + source
+
+
+def _read_sidecar(path: str, key: bytes):
+    """(features, labels, time or None) from the file's sidecar if it holds this key; else None.
+
+    A missing, stale, truncated, empty or foreign sidecar is None, as is a plain ``.npy``.
+    """
+    try:
+        # np.load given a path leaks its handle when the zip is bad, so the file is ours to close
+        with open(path + SIDECAR_SUFFIX, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if isinstance(archive, np.ndarray):
+                return None
+            with archive:
+                if archive["key"].tobytes() != key:
+                    return None
+                time = archive["time"] if "time" in archive.files else None
+                return archive["features"], archive["labels"], time
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+        return None
+
+
+def _write_sidecar(path: str, key: bytes, ds: Dataset) -> None:
+    """Replace the file's sidecar with the dataset's arrays; on an OSError, write nothing."""
+    arrays = {"key": np.frombuffer(key, np.uint8), "features": ds.features, "labels": ds.labels}
+    if ds.time is not None:
+        arrays["time"] = ds.time
+    sidecar = path + SIDECAR_SUFFIX
+    directory, name = os.path.split(sidecar)
+    try:
+        fd, temp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or ".")
+    except OSError:  # a read-only directory only loses the speed-up
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+        shutil.copymode(path, temp)  # mkstemp's file is private; the sidecar reads as the csv does
+        os.replace(temp, sidecar)  # a reader sees the old sidecar or the new, never a part
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
 
 
 def _read_header(reader, path: str, expect_schema: bool) -> list[str]:

@@ -65,8 +65,8 @@ def evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> Metric
     - the precision-recall points and the step-sum average precision
       AP = sum over steps of (R_n - R_{n-1}) * P_n with R_0 = 0, no
       interpolation.
-    Raises if a label is not 0 or 1, a score is NaN or either class is
-    missing.
+    Raises if a label is not 0 or 1, a score or the threshold is NaN or
+    either class is missing.
     """
     labels = np.asarray(labels)
     if np.any((labels != 0) & (labels != 1)):
@@ -77,6 +77,8 @@ def evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> Metric
         raise ValueError("labels and predictions must have the same length")
     if np.isnan(scores).any():
         raise ValueError("scores must not be NaN")
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import errno
+import os
 import random
 import re
+import stat
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from leakbench import data
 from leakbench.data import (
     Dataset,
     ORIGINAL,
     RowOrigin,
+    SIDECAR_SUFFIX,
     SYNTHETIC,
     SynthConfig,
     TIME_SPAN_SECONDS,
@@ -370,6 +376,9 @@ def test_load_csv_errors(tmp_path) -> None:
         warnings.simplefilter("error")
         load_csv(str(header_only))
 
+    # a file that does not load leaves no sidecar and no temp file beside it
+    assert [p.name for p in tmp_path.iterdir() if not p.name.endswith(".csv")] == []
+
 
 def test_load_csv_schema_check(tmp_path) -> None:
     good = tmp_path / "schema.csv"
@@ -383,6 +392,7 @@ def test_load_csv_schema_check(tmp_path) -> None:
     bad.write_text("a,Class\n1,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="does not match the expected transactions schema"):
         load_csv(str(bad), expect_schema=True)
+    assert not Path(f"{bad}{SIDECAR_SUFFIX}").exists()
 
 
 def test_load_csv_skips_a_byte_order_mark(tmp_path) -> None:
@@ -575,3 +585,159 @@ def test_csv_round_trip_is_exact(tmp_path) -> None:
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.time, ds.time)
     assert back.feature_names == ds.feature_names
+
+
+# ---------------------------------------------------------------------------
+# Sidecar: a parsed file's arrays, kept beside it
+# ---------------------------------------------------------------------------
+
+
+def _sidecar(path) -> Path:
+    return Path(f"{path}{SIDECAR_SUFFIX}")
+
+
+def _no_parse(monkeypatch) -> None:
+    """Make any parse fail, so that a load can only come from the sidecar."""
+
+    def refuse(*args):
+        raise AssertionError("the file was parsed")
+
+    monkeypatch.setattr(data, "_plain_table", refuse)
+    monkeypatch.setattr(data, "_record_table", refuse)
+
+
+def _assert_same(got: Dataset, want: Dataset) -> None:
+    assert got.feature_names == want.feature_names
+    for name in ("features", "labels", "time"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags["C_CONTIGUOUS"]
+
+
+def _write_table(path, rng, with_time: bool, quoted: bool) -> None:
+    """A labelled CSV of random doubles; quoted labels, as the public file has, need the
+    record parser."""
+    names = (["Time"] if with_time else []) + ["V1", "V2", "V3", "Class"]
+    lines = [",".join(names)]
+    for _ in range(50):
+        values = [repr(float(v)) for v in rng.standard_normal(len(names) - 1)]
+        label = str(int(rng.random() < 0.3))
+        lines.append(",".join(values + [f'"{label}"' if quoted else label]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("with_time", [True, False], ids=["time", "no_time"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_sidecar_hit_is_byte_equal_to_a_fresh_parse(tmp_path, monkeypatch, quoted, with_time):
+    path = tmp_path / "table.csv"
+    _write_table(path, np.random.default_rng(5), with_time, quoted)
+    os.chmod(path, 0o640)
+    assert (_plain_table(str(path), False) is None) == quoted
+    parsed = load_csv(str(path))
+    assert (parsed.time is not None) == with_time
+    assert stat.S_IMODE(os.stat(_sidecar(path)).st_mode) == 0o640  # readable as the csv is
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv", "table.csv.leakbench.npz"]
+    _no_parse(monkeypatch)
+    _assert_same(load_csv(str(path)), parsed)
+    _assert_same(load_csv(path), parsed)  # a path object finds the same sidecar
+
+
+def test_a_changed_byte_is_parsed_again_at_the_same_size_and_mtime(tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    path.write_text("a,Class\n1.5,0\n2.5,1\n", encoding="utf-8")
+    load_csv(str(path))
+    before = os.stat(path)
+    path.write_text("a,Class\n1.5,0\n3.5,1\n", encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    np.testing.assert_array_equal(load_csv(str(path)).features, [[1.5], [3.5]])
+    _no_parse(monkeypatch)  # the re-parse replaced the sidecar
+    np.testing.assert_array_equal(load_csv(str(path)).features, [[1.5], [3.5]])
+
+
+def test_a_sidecar_of_another_parser_is_parsed_again(tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    path.write_text("a,Class\n1.5,0\n2.5,1\n", encoding="utf-8")
+    load_csv(str(path))
+    monkeypatch.setattr(data, "_source_digest", lambda: b"\0" * 32)
+    parsed = []
+    monkeypatch.setattr(data, "_plain_table", lambda *args: parsed.append(args) or None)
+    np.testing.assert_array_equal(load_csv(str(path)).features, [[1.5], [2.5]])
+    assert len(parsed) == 1
+
+
+def _damage(sidecar: Path, kind: str) -> None:
+    if kind == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
+    elif kind == "empty":
+        sidecar.write_bytes(b"")
+    elif kind == "foreign":
+        with open(sidecar, "wb") as fh:
+            np.savez(fh, features=np.zeros((2, 1)))
+    elif kind == "plain_array":
+        with open(sidecar, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    elif kind == "pickled":
+        with open(sidecar, "wb") as fh:
+            np.savez(fh, key=np.array([None]))
+    else:
+        sidecar.write_text("not an archive", encoding="utf-8")
+
+
+BROKEN = ("truncated", "empty", "foreign", "plain_array", "pickled", "text")
+
+
+@pytest.mark.parametrize("kind", BROKEN)
+def test_a_broken_sidecar_is_replaced(tmp_path, monkeypatch, kind):
+    path = tmp_path / "table.csv"
+    _write_table(path, np.random.default_rng(6), with_time=True, quoted=False)
+    parsed = load_csv(str(path))
+    _damage(_sidecar(path), kind)
+    _assert_same(load_csv(str(path)), parsed)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv", "table.csv.leakbench.npz"]
+    _no_parse(monkeypatch)
+    _assert_same(load_csv(str(path)), parsed)
+
+
+def test_the_schema_check_runs_on_a_sidecar_hit(tmp_path, monkeypatch):
+    off_schema = tmp_path / "off_schema.csv"
+    off_schema.write_text("a,Class\n1,0\n", encoding="utf-8")
+    load_csv(str(off_schema))
+    good = tmp_path / "schema.csv"
+    row = ",".join(["1.0"] * 30 + ["0"])
+    good.write_text(",".join(TRANSACTION_SCHEMA) + "\n" + row + "\n", encoding="utf-8")
+    load_csv(str(good))
+    _no_parse(monkeypatch)
+    with pytest.raises(ValueError, match="off_schema.csv: header does not match the expected"):
+        load_csv(str(off_schema), expect_schema=True)
+    assert load_csv(str(good), expect_schema=True).n_features == 29
+
+
+def _disk_full(fh, **arrays):
+    fh.write(b"PK\x03\x04")
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _refuse(*args, **kwargs):
+    raise PermissionError(errno.EACCES, "Permission denied")
+
+
+@pytest.mark.parametrize("target, stub", [
+    ("tempfile.mkstemp", _refuse),
+    ("numpy.savez", _disk_full),
+    ("shutil.copymode", _refuse),
+    ("os.replace", _refuse),
+])
+def test_a_failed_sidecar_write_still_loads_and_leaves_nothing(tmp_path, monkeypatch, target, stub):
+    # the tests may run as root, whom a read-only directory does not stop, so the write is made
+    # to fail where it can: creating the temp file, writing it, or moving it into place
+    path = tmp_path / "table.csv"
+    path.write_text("Time,a,Class\n1,1.5,0\n2,2.5,1\n", encoding="utf-8")
+    monkeypatch.setattr(target, stub)
+    ds = load_csv(str(path))
+    np.testing.assert_array_equal(ds.features, [[1.5], [2.5]])
+    np.testing.assert_array_equal(ds.time, [1.0, 2.0])
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]

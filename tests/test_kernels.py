@@ -363,5 +363,22 @@ def test_knn_rejects_a_self_idx_entry_outside_ref() -> None:
     assert all(i not in idx[i] for i in range(1, 6))
 
 
+def test_knn_rejects_a_boolean_self_idx() -> None:
+    # an all-True mask was cast to row 1 everywhere, so rows 2-4 found themselves at distance 0
+    x = np.random.default_rng(7).standard_normal((5, 2))
+    for ref in (x, x.copy()):  # self-search and streamed
+        with pytest.raises(ValueError, match="self_idx must hold integer row ids, not bool"):
+            knn(x, ref, 1, self_idx=np.ones(5, dtype=bool))
+
+
+def test_knn_rejects_a_float_self_idx() -> None:
+    # a float entry was truncated to a row id
+    x = np.random.default_rng(8).standard_normal((5, 2))
+    for ref in (x, x.copy()):
+        with pytest.raises(ValueError, match="self_idx must hold integer row ids, not float64"):
+            knn(x, ref, 1, self_idx=np.arange(5) + 0.5)
+    assert knn(x, x.copy(), 1, self_idx=np.arange(5, dtype=np.int32))[0].shape == (5, 1)
+
+
 def test_backend_name_reports_selection() -> None:
     assert _kernels.backend_name() == "numpy"

@@ -51,6 +51,13 @@ def test_evaluate_refuses_nan_scores() -> None:
     assert evaluate(labels, np.array([0.1, -np.inf, 0.3, np.inf]), 0.5).scalars.roc_auc == 0.5
 
 
+def test_evaluate_refuses_a_nan_threshold() -> None:
+    # every score compared false with a NaN threshold, so every row was predicted negative
+    labels = np.array([0, 1, 0, 1])
+    with pytest.raises(ValueError, match="threshold must not be NaN"):
+        evaluate(labels, np.array([0.1, 0.8, 0.3, 0.9]), float("nan"))
+
+
 def test_zero_denominators_become_none() -> None:
     # evaluate refuses a side without both classes (test_roc_requires_both_classes), so
     # recall, specificity and accuracy always have a denominator; precision and f1 may not

@@ -30,7 +30,7 @@ def test_star_import_resolves_every_listed_name(package):
 
 
 def test_package_exports_are_listed_in_their_home_module():
-    tree = ast.parse(open(leakbench.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(leakbench.__file__).read_text(encoding="utf-8"))
     imported = [
         (node.module, alias.name)
         for node in tree.body
