@@ -37,15 +37,35 @@ folded into both blocks' lists, as it stands and transposed, the last
 blocks first.  fl(a - b) = -fl(b - a), so the transposed tile holds
 the squares, summed from 0 in the same feature order, that the other
 block's rows would compute: the results are bitwise equal to the
-streamed search.  At 30 features and k=5 (2-vCPU host, one thread,
-median of 5) a 5,000-row self-search takes 0.49 s against 0.79 s
-streamed, and 10,000 rows 1.68 s against 3.20 s.
+streamed search.
+
+A self-search of more than one tile computes its tiles on a pool of
+threads, since numpy releases the GIL inside each tile's ufunc calls:
+one worker per CPU in the process's affinity mask, and fewer workers
+than tiles.  The calling thread does every fold, in the order above,
+so the lists are those of a search on one thread.  Worker w computes
+tiles w, w + workers, ... into a ring of 2 x workers buffers, and
+writes a slot only after the caller has folded the slot's last tile,
+so a search holds at most 3 x workers tiles (each worker owns a scratch
+tile too), however many it computes.  A worker's error is raised in the
+caller when the fold reaches its tile, and the pool is joined before
+``knn`` returns or raises.  The streamed search stays on the calling
+thread: its strips are n_ref columns wide, too large to hold a ring
+of them.  At 30 features and k=5 (2-vCPU host, so two workers;
+interleaved median of 7) a 5,000-row self-search takes 0.52 s against
+0.69 s on one thread and 1.04 s streamed, and 10,000 rows 1.93 s
+against 2.27 s and 3.76 s.  The fold, now the serial part, is about
+half of a pooled search: the workers' GIL hand-offs slow it to about
+twice its time on one thread.
 
 Every tile runs with numpy's ufunc buffer at 512 elements, and the
 caller's size is restored on return or error.  At numpy's default
 8,192, a broadcast subtraction whose rows are shorter than a third of
 the buffer takes numpy's buffered path, at 1.0-1.9 ns per element
 instead of 0.3-0.6, which every reference under 2,731 rows paid.
+numpy keeps its error state and buffer size per thread (1.x) or per
+context (2.x), and a new thread starts with the defaults, so each pool
+worker runs under the caller's error state and the 512-element buffer.
 
 Inputs must be finite: ``nan`` and ``inf`` are rejected, since their
 distances do not order.  All searches are exhaustive
@@ -55,7 +75,9 @@ expected to gate that behind an explicit opt-in.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import os
+import threading
+from contextlib import closing, contextmanager
 
 import numpy as np
 
@@ -187,6 +209,74 @@ def _fold(tile: np.ndarray, col0: int, sqd: np.ndarray, idx: np.ndarray) -> None
     idx[hit] = i[take]
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _tiles(pairs: list, size: int, compute):
+    """Yield ``compute(pair, out, diff)`` for every pair, in order.
+
+    ``out`` and ``diff`` are (size, size) buffers, and each result, a
+    view of ``out``, is valid until the next one is asked for.  With
+    more than one pair, a pool of threads computes the tiles ahead of
+    the caller (see the module docstring); a worker's error is raised
+    in its pair's turn, and closing the generator stops and joins the
+    pool.
+    """
+    workers = min(_cpu_count(), len(pairs) - 1)
+    if workers < 1:
+        out, diff = np.empty((size, size)), np.empty((size, size))
+        for pair in pairs:
+            yield compute(pair, out, diff)
+        return
+    ring = [np.empty((size, size)) for _ in range(2 * workers)]
+    free = [threading.Semaphore(1) for _ in ring]
+    ready = [threading.Semaphore(0) for _ in ring]
+    done: list = [None] * len(ring)  # each slot's tile, or its worker's error
+    stop = threading.Event()
+    state = dict(np.geterr(), call=np.geterrcall())
+
+    def work(w: int) -> None:
+        diff = np.empty((size, size))
+        with np.errstate(**state), _tile_buffer():
+            for i in range(w, len(pairs), workers):
+                s = i % len(ring)
+                free[s].acquire()
+                if stop.is_set():
+                    return
+                try:
+                    done[s] = compute(pairs[i], ring[s], diff)
+                except BaseException as err:  # raised in the caller
+                    done[s] = err
+                    return
+                finally:
+                    ready[s].release()
+
+    threads = []
+    try:
+        for w in range(workers):
+            thread = threading.Thread(target=work, args=(w,), daemon=True)
+            thread.start()
+            threads.append(thread)
+        for i in range(len(pairs)):
+            s = i % len(ring)
+            ready[s].acquire()
+            if isinstance(done[s], BaseException):
+                raise done[s]
+            yield done[s]
+            free[s].release()
+    finally:
+        stop.set()
+        for sem in free:
+            sem.release()
+        for thread in threads:
+            thread.join()
+
+
 def _self_knn(x: np.ndarray, k: int, idx: np.ndarray, sqd: np.ndarray) -> None:
     """``knn(x, x, k, self_idx=arange(n))`` into the empty lists ``idx``, ``sqd``.
 
@@ -196,25 +286,31 @@ def _self_knn(x: np.ndarray, k: int, idx: np.ndarray, sqd: np.ndarray) -> None:
     distances ``nan``, only once.  The pairs run from the last block
     back, so each row's lists take the blocks in falling order.
     fl(a - b) = -fl(b - a), so the transposed tile holds the very
-    distances the other block's rows would compute.
+    distances the other block's rows would compute.  The tiles come
+    from ``_tiles``; the folds all run here, in that order.
     """
     n = len(x)
     blocks = max(1, min(-(-n // _SELF_BLOCK), n // (k + 1)))
     edges = [n * b // blocks for b in range(blocks + 1)]
-    size = -(-n // blocks)
     x_t = np.ascontiguousarray(x.T)
-    tile_buf = np.empty((size, size))
-    diff = np.empty((size, size))
-    for b in reversed(range(blocks)):
-        b0, b1 = edges[b], edges[b + 1]
-        for a in reversed(range(b + 1)):
-            a0, a1 = edges[a], edges[a + 1]
-            tile = tile_buf[: a1 - a0, : b1 - b0]
-            _sq_dists_into(x[a0:a1], x_t[:, b0:b1], tile, diff)
-            if a == b:
+    pairs = [
+        (edges[a], edges[a + 1], edges[b], edges[b + 1])
+        for b in reversed(range(blocks))
+        for a in reversed(range(b + 1))
+    ]
+
+    def compute(pair, out, diff):
+        a0, a1, b0, b1 = pair
+        tile = out[: a1 - a0, : b1 - b0]
+        _sq_dists_into(x[a0:a1], x_t[:, b0:b1], tile, diff)
+        return tile
+
+    with closing(_tiles(pairs, -(-n // blocks), compute)) as tiles:
+        for (a0, a1, b0, b1), tile in zip(pairs, tiles):
+            if a0 == b0:
                 np.fill_diagonal(tile, np.nan)
             _fold(tile, b0, sqd[a0:a1], idx[a0:a1])
-            if a < b:
+            if a0 < b0:
                 _fold(tile.T, a0, sqd[b0:b1], idx[b0:b1])
 
 

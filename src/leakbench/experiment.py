@@ -61,8 +61,9 @@ DEFAULT_N_VALUES = tuple(REFERENCE_RESULTS)
 
 # Datasets larger than this refuse the all-pairs methods unless
 # allow_quadratic is set.  A kNN self-search, which computes each pair's
-# distance once, took 0.49 s for 5,000 rows and 1.68 s for 10,000 rows
-# (30 features, k=5, one core of a 2-vCPU host): 51 and 60 million
+# distance once on a thread per CPU, took 0.52 s for 5,000 rows and 1.93 s
+# for 10,000 rows (30 features, k=5, both vCPUs of a 2-vCPU host; 0.69 s
+# and 2.27 s on one thread in the same run): 48 and 52 million
 # query-reference pairs per second, so one all-pairs self-search at this
 # limit (1e10 pairs) takes about 3 minutes.  The cleaning step of
 # SMOTE-ENN and SMOTE-Tomek searches the oversampled rows, up to twice as

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -9,6 +13,8 @@ import pytest
 
 from leakbench import _kernels
 from leakbench._kernels import knn, pairwise_sq_dists
+
+from conftest import peak_traced
 
 
 def oracle_knn(query, ref, k, self_idx=None):
@@ -136,11 +142,25 @@ def _spy_self_search(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("block", [4, 7, 16])
+def _set_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize(
+    ("block", "cpus"),
+    # cpus None keeps the detected count
+    [
+        pytest.param(block, cpus, id=str(block) if cpus is None else f"{block}-cpus{cpus}")
+        for block in (4, 7, 16)
+        for cpus in (None, 1, 2, 3, 5)
+    ],
+)
 def test_self_search_bitwise_equals_the_untiled_reference_across_blocks(
-    monkeypatch, block
+    monkeypatch, block, cpus
 ) -> None:
     monkeypatch.setattr(_kernels, "_SELF_BLOCK", block)
+    if cpus is not None:
+        _set_cpus(monkeypatch, cpus)
     calls = _spy_self_search(monkeypatch)
     rng = np.random.default_rng(block)
     # one, two and three blocks, each on and around a block edge
@@ -177,6 +197,7 @@ def test_self_search_of_an_equal_copy_streams_to_the_same_result(monkeypatch) ->
 
 
 def test_knn_restores_the_ufunc_buffer_size(monkeypatch) -> None:
+    _set_cpus(monkeypatch, 2)
     rng = np.random.default_rng(29)
     x = rng.standard_normal((300, 4))
     self_idx = np.arange(300, dtype=np.int64)
@@ -184,33 +205,153 @@ def test_knn_restores_the_ufunc_buffer_size(monkeypatch) -> None:
     real_tile = _kernels._sq_dists_into
 
     def tile(*args):
-        seen.append(np.getbufsize())
+        seen.append((threading.get_ident(), np.getbufsize()))
         return real_tile(*args)
 
     monkeypatch.setattr(_kernels, "_sq_dists_into", tile)
     old = np.setbufsize(4096)
     try:
-        knn(x, x, 3, self_idx=self_idx)
+        knn(x, x, 3, self_idx=self_idx)  # two blocks: three tiles on two workers
         knn(x[:50], x, 3)
         pairwise_sq_dists(x, x[:7])
         assert np.getbufsize() == 4096
-        assert seen and set(seen) == {_kernels._UFUNC_BUFSIZE}
+        assert {size for _, size in seen} == {_kernels._UFUNC_BUFSIZE}
+        assert len({thread for thread, _ in seen}) >= 2  # the workers' calls were seen
 
-        # an error partway through a search leaves the caller's size too
-        folds = []
+        # an error partway through a search leaves the caller's size too,
+        # whether the caller's fold raises or a worker's tile
+        monkeypatch.setattr(_kernels, "_SELF_BLOCK", 16)
+        real_fold = _kernels._fold
+        folds = itertools.count(1)
 
         def failing_fold(*args):
-            folds.append(1)
-            if len(folds) == 3:
-                raise RuntimeError("injected")
+            if next(folds) == 3:
+                raise RuntimeError("injected fold")
+            return real_fold(*args)
 
         monkeypatch.setattr(_kernels, "_fold", failing_fold)
-        monkeypatch.setattr(_kernels, "_SELF_BLOCK", 16)
-        with pytest.raises(RuntimeError, match="injected"):
+        with pytest.raises(RuntimeError, match="injected fold"):
+            knn(x, x, 3, self_idx=self_idx)
+        assert np.getbufsize() == 4096
+        monkeypatch.setattr(_kernels, "_fold", real_fold)
+        _fail_on_third_tile(monkeypatch)
+        with pytest.raises(RuntimeError, match="injected tile"):
             knn(x, x, 3, self_idx=self_idx)
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(old)
+
+
+def _fail_on_third_tile(monkeypatch) -> None:
+    real_tile = _kernels._sq_dists_into
+    calls = itertools.count(1)  # next() on a count is atomic, so workers may share it
+
+    def tile(*args):
+        if next(calls) == 3:
+            raise RuntimeError("injected tile")
+        return real_tile(*args)
+
+    monkeypatch.setattr(_kernels, "_sq_dists_into", tile)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_workers_run_under_the_callers_error_state(monkeypatch, cpus) -> None:
+    # a new thread starts with numpy's default error state, which warns on overflow
+    _set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(_kernels, "_SELF_BLOCK", 8)
+    # five blocks, fifteen tiles; squared differences of 1e155 overflow to inf
+    x = np.random.default_rng(41).integers(-2, 3, size=(40, 3)) * 1e155
+    self_idx = np.arange(40, dtype=np.int64)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        knn(x, x, 3, self_idx=self_idx)
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        idx, sqd = knn(x, x, 3, self_idx=self_idx)
+    with np.errstate(over="ignore"):
+        ridx, rsqd = reference_knn(x, x, 3, self_idx)
+    assert np.array_equal(idx, ridx) and np.array_equal(sqd, rsqd)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+def test_self_search_leaves_no_thread_behind(monkeypatch, cpus) -> None:
+    _set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(_kernels, "_SELF_BLOCK", 16)
+    x = np.random.default_rng(43).standard_normal((200, 4))
+    self_idx = np.arange(200, dtype=np.int64)
+    before = threading.active_count()
+    knn(x, x, 3, self_idx=self_idx)
+    assert threading.active_count() == before
+    # a worker's error reaches the caller, and the pool is still taken down
+    _fail_on_third_tile(monkeypatch)
+    with pytest.raises(RuntimeError, match="injected tile"):
+        knn(x, x, 3, self_idx=self_idx)
+    assert threading.active_count() == before
+
+
+def test_self_search_is_exact_under_fast_thread_switches(monkeypatch) -> None:
+    # more workers than cores, switching threads every few microseconds:
+    # a tile folded before it is written, or overwritten before it is
+    # folded, changes a list
+    _set_cpus(monkeypatch, 7)
+    monkeypatch.setattr(_kernels, "_SELF_BLOCK", 8)
+    rng = np.random.default_rng(53)
+    x = rng.integers(-3, 4, size=(120, 3)).astype(np.float64)  # fifteen blocks, 120 tiles
+    self_idx = np.arange(120, dtype=np.int64)
+    want = reference_knn(x, x, 4, self_idx)
+    got = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        search = threading.Thread(
+            target=lambda: got.extend(knn(x, x, 4, self_idx=self_idx) for _ in range(20))
+        )
+        search.start()
+        search.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not search.is_alive() and len(got) == 20
+    for idx, sqd in got:
+        assert np.array_equal(idx, want[0]) and np.array_equal(sqd, want[1])
+
+
+def test_self_search_holds_a_bounded_ring_of_tiles(monkeypatch) -> None:
+    workers = 4
+    _set_cpus(monkeypatch, workers)
+    n, d, k = 3_800, 30, 3
+    x = np.random.default_rng(47).standard_normal((n, d))
+    self_idx = np.arange(n, dtype=np.int64)
+    blocks = -(-n // _kernels._SELF_BLOCK)
+    size = -(-n // blocks)
+    tile_bytes = size * size * 8
+    assert blocks * (blocks + 1) // 2 > 10 * workers  # far more tiles than the ring holds
+
+    # the first fold waits until the workers stop computing, so that a queue
+    # without a bound would hold every tile at once
+    computed = []  # list.append is atomic, so workers may share it
+    real_tile, real_fold = _kernels._sq_dists_into, _kernels._fold
+
+    def tile(*args):
+        computed.append(1)
+        return real_tile(*args)
+
+    waited = []
+
+    def fold(*args):
+        if not waited:
+            last = -1
+            while (now := len(computed)) != last:
+                last = now
+                time.sleep(0.05)
+            waited.append(now)
+        return real_fold(*args)
+
+    monkeypatch.setattr(_kernels, "_sq_dists_into", tile)
+    monkeypatch.setattr(_kernels, "_fold", fold)
+    peak = peak_traced(lambda: knn(x, x, k, self_idx=self_idx))
+    # the ring's 2 x workers tiles and one scratch tile per worker; the
+    # fold's copies, x transposed and the k-lists take about three more
+    assert waited and waited[0] <= 2 * workers
+    assert peak < (3 * workers + 3) * tile_bytes + 2 * x.nbytes
 
 
 def test_searches_on_finite_input_raise_no_warning() -> None:
