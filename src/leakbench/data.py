@@ -216,11 +216,6 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     )
 
 
-# The bytes of a data line that numpy's parser reads exactly as float() does.  Left out are
-# quotes, '\r', '_', '#', letters but e/E, and the '\x1c'-'\x1f' separators numpy strips.
-_PLAIN = b"0123456789+-.eE, \n"
-
-
 def load_csv(path: str, expect_schema: bool = False) -> Dataset:
     """Load a labelled CSV file.
 
@@ -229,18 +224,15 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
     axis and every other column is a feature.  With ``expect_schema``
     the header must match the transactions schema exactly.
 
-    A file whose data lines hold only digits, signs, points, exponents,
-    commas and spaces, none of them blank, is read by numpy's C parser;
-    any other file, and any file that parser or its checks refuse, is
-    read again by the csv-module record parser.  Both give the same
-    table, and only the record parser raises, so every error is the same
-    either way.  An error names a physical line of the file: the line a
-    bad record starts on, or the line the csv module stopped on.
+    The rows are read record by record through the csv module.  An error
+    names a physical line of the file: the line a bad record starts on, or
+    the line the csv module stopped on.
 
     A parsed file's arrays are kept in a sidecar, ``<path>.leakbench.npz``,
     keyed by the sha256 of the file's bytes and of this module's source.
-    A later load of the same bytes by the same parser reads the sidecar
-    and only the header; any other sidecar is ignored and replaced.
+    A later load of the same bytes by the same version of this module
+    reads the sidecar and only the header; any other sidecar is ignored
+    and replaced.
     """
     path = os.fspath(path)
     key = _sidecar_key(path)
@@ -251,7 +243,7 @@ def load_csv(path: str, expect_schema: bool = False) -> Dataset:
             header = _read_header(csv.reader(fh), path, expect_schema)
         features, labels, time = cached
     else:
-        header, table = _plain_table(path, expect_schema) or _record_table(path, expect_schema)
+        header, table = _record_table(path, expect_schema)
         label_col = header.index(LABEL_COLUMN)
         time_col = header.index(TIME_COLUMN) if TIME_COLUMN in header else -1
         feature_cols = [i for i in range(len(header)) if i not in (label_col, time_col)]
@@ -289,7 +281,7 @@ def _sidecar_key(path: str) -> bytes | None:
         with open(path, "rb") as fh:
             for block in iter(lambda: fh.read(1 << 20), b""):
                 digest.update(block)
-    except OSError:  # the parsers raise the error the file gives
+    except OSError:  # the parser raises the error the file gives
         return None
     return digest.digest() + source
 
@@ -350,50 +342,10 @@ def _read_header(reader, path: str, expect_schema: bool) -> list[str]:
         raise ValueError(f"{path}: no '{LABEL_COLUMN}' column in header")
     if not set(header) - {LABEL_COLUMN, TIME_COLUMN}:
         raise ValueError(f"{path}: no feature columns in header")
+    # an unnamed column, such as a dataframe's exported index, would be loaded as a feature
+    if "" in header:
+        raise ValueError(f"{path}: header column {header.index('') + 1} has no name")
     return header
-
-
-def _plain_lines(fh, limit: int):
-    for line in fh:
-        # a blank line is a record of 0 columns, and a line past the csv module's field limit may
-        # hold a field it refuses; numpy would skip the one and read the other
-        if line.translate(None, _PLAIN) or line.isspace() or len(line) > limit:
-            raise ValueError("not a plain line")
-        yield line
-
-
-def _plain_table(path: str, expect_schema: bool) -> tuple[list[str], np.ndarray] | None:
-    """The header and table of a file whose data lines are plain, read by numpy; else None.
-
-    Declines (None) on anything the record parser might read differently or refuse, so that
-    ``_record_table`` stays the only source of errors.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = _read_header(reader, path, expect_schema)
-        with open(path, "rb") as fh:
-            # without '\r' the header's lines end where the csv reader's did; a file with no
-            # data line is left to the record parser, as numpy would warn on it
-            if any(b"\r" in fh.readline() for _ in range(reader.line_num)) or not fh.peek(1):
-                return None
-            table = np.loadtxt(
-                _plain_lines(fh, csv.field_size_limit()),
-                delimiter=",",
-                comments=None,
-                quotechar=None,
-                dtype=np.float64,
-                ndmin=2,
-            )
-    except (OSError, ValueError, csv.Error):
-        return None
-    if (
-        table.shape[1] != len(header)
-        or not np.isfinite(table).all()
-        or not np.isin(table[:, header.index(LABEL_COLUMN)], (0.0, 1.0)).all()
-    ):
-        return None
-    return header, table
 
 
 def _record_table(path: str, expect_schema: bool) -> tuple[list[str], np.ndarray]:

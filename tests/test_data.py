@@ -24,8 +24,6 @@ from leakbench.data import (
     SynthConfig,
     TIME_SPAN_SECONDS,
     TRANSACTION_SCHEMA,
-    _plain_table,
-    _record_table,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -306,7 +304,7 @@ def test_load_csv_errors(tmp_path) -> None:
     big.write_text("a" * 200_000 + ",Class\n1,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="big.csv: line 1: field larger than field limit"):
         load_csv(str(big))
-    # a long zero is finite, so only the line length keeps it from numpy's parser
+    # a long zero is a finite number, but the csv module refuses the field before float() sees it
     big.write_text("a,Class\n" + "0" * 200_000 + ",0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="big.csv: line 2: field larger than field limit"):
         load_csv(str(big))
@@ -322,7 +320,7 @@ def test_load_csv_errors(tmp_path) -> None:
     with pytest.raises(ValueError, match="line 3: expected 2 columns, got 3"):
         load_csv(str(ragged))
 
-    # numpy's parser skips blank lines; a blank line is a record of no columns here
+    # a blank line is a record of no columns, not a line to skip
     for text in ("a,Class\n1,0\n\n2,1\n", "a,Class\n1,0\n\n"):
         blank = tmp_path / "blank.csv"
         blank.write_text(text, encoding="utf-8")
@@ -333,7 +331,7 @@ def test_load_csv_errors(tmp_path) -> None:
     non_numeric.write_text("a,Class\n1,0\nfoo,1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 3: column 'a' has non-numeric value 'foo'"):
         load_csv(str(non_numeric))
-    # numpy's parser strips \x1c-\x1f as whitespace; float() does not
+    # str.strip() takes \x1c-\x1f for whitespace, but float() does not
     non_numeric.write_text("a,Class\n9\x1c,0\n", encoding="utf-8")
     message = "line 2: column 'a' has non-numeric value '9\\x1c'"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -369,12 +367,26 @@ def test_load_csv_errors(tmp_path) -> None:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_csv(str(multi_line))
 
-    # numpy's parser warns on input without data; the load only raises
+    # a header with no data rows under it raises, and warns of nothing
     header_only = tmp_path / "header_only.csv"
     header_only.write_text("a,Class\n", encoding="utf-8")
     with warnings.catch_warnings(), pytest.raises(ValueError, match="no data rows"):
         warnings.simplefilter("error")
         load_csv(str(header_only))
+
+    # an unnamed column, such as a dataframe's exported index, would be read as a feature;
+    # two of them are a repeated name, which is checked first
+    for header, message in (
+        (" ,Class", "header column 1 has no name"),
+        ("Time,V1,,Class", "header column 3 has no name"),
+        ("V1,Class,", "header column 3 has no name"),
+        (",,Class", "header repeats column ''"),
+    ):
+        unnamed = tmp_path / "unnamed.csv"
+        row = ",".join(["1"] * (header.count(",") + 1))
+        unnamed.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"unnamed.csv: {message}")):
+            load_csv(str(unnamed))
 
     # a file that does not load leaves no sidecar and no temp file beside it
     assert [p.name for p in tmp_path.iterdir() if not p.name.endswith(".csv")] == []
@@ -413,19 +425,17 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path) -> None:
     assert ds.time is not None
 
 
-def _spelling(rng: random.Random, value: int, plain: bool) -> str:
-    """An integer in one of the spellings float() accepts; no underscores if plain."""
-    if value >= 1000 and not plain and rng.random() < 0.3:
+def _spelling(rng: random.Random, value: int) -> str:
+    """An integer in one of the spellings float() accepts."""
+    if value >= 1000 and rng.random() < 0.3:
         return f"{value:_}"
     if value % 1000 == 0 and rng.random() < 0.3:
         return f"+{value // 1000}e3"
     return rng.choice(["", " "]) + str(value)
 
 
-def _quoted(rng: random.Random, cell: str, plain: bool) -> tuple[str, str]:
-    """The cell as written to the file, quoted at random unless plain, and as read back."""
-    if plain:
-        return cell, cell
+def _quoted(rng: random.Random, cell: str) -> tuple[str, str]:
+    """The cell as written to the file, quoted at random, and as read back."""
     roll = rng.random()
     if roll < 0.15:
         cell = rng.choice([f"{cell}\n", f"\n{cell}"])  # only quotes keep the newline
@@ -434,12 +444,11 @@ def _quoted(rng: random.Random, cell: str, plain: bool) -> tuple[str, str]:
     return cell, cell
 
 
-def _generated_csv(rng: random.Random, fault: str | None, plain: bool = False):
+def _generated_csv(rng: random.Random, fault: str | None):
     """A labelled CSV text with at most one planted fault, its table, and the expected error.
 
     The generator counts lines as it writes them, so the line an error must
-    name does not come from the reader under test.  A plain text has no
-    quotes and no underscores, so numpy's parser may read it.
+    name does not come from the reader under test.
     """
     names = [f"V{j}" for j in range(1, rng.randint(1, 4) + 1)] + ["Class"]
     if rng.random() < 0.5:
@@ -455,14 +464,14 @@ def _generated_csv(rng: random.Random, fault: str | None, plain: bool = False):
     r = rng.randrange(len(table))
     c = label if fault == "label" else rng.randrange(len(names))
     bad = {"non_numeric": "x7", "inf": "inf", "label": "3"}
-    records = [list(names)] + [[_spelling(rng, int(v), plain) for v in row] for row in table]
+    records = [list(names)] + [[_spelling(rng, int(v)) for v in row] for row in table]
     if fault == "short":
         del records[r + 1][-1]
     elif fault is not None:
         records[r + 1][c] = bad[fault]
     text, line, message = "", 1, None
     for i, record in enumerate(records):
-        written, read = zip(*(_quoted(rng, cell, plain) for cell in record))
+        written, read = zip(*(_quoted(rng, cell) for cell in record))
         if i == r + 1 and fault is not None:
             cell = read[c] if fault == "non_numeric" else None  # the planted cell as read back
             message = f"line {line}: " + {
@@ -476,9 +485,10 @@ def _generated_csv(rng: random.Random, fault: str | None, plain: bool = False):
     return names, table, text, message
 
 
-# Edits that numpy's parser and the csv module may read differently: blank and space-only
-# lines, quotes, underscores, comments, separators numpy strips as whitespace, an em space,
-# an Arabic-Indic three, a byte-order mark, CR and the non-finite spellings.
+# Edits at the edges of what the csv module and float() accept: blank and space-only lines,
+# quotes, underscores, comments, the \x1c-\x1f separators that str.strip() takes for
+# whitespace, an em space, an Arabic-Indic three, a byte-order mark, CR and the non-finite
+# spellings.
 _INSERTS = (
     "\n", " \n", "  \n", '"', '"7\n"', '"7"', "_", "#", ",", " ", "\r", "\ufeff",
     "\x1c", "\x1d", "\x1e", "\x1f", "\u2003", "\u0663", "-", "e", ".",
@@ -510,50 +520,36 @@ def _mutated(rng: random.Random, text: str) -> str:
     return text
 
 
-def _readers_agree(path) -> bool:
-    """Assert that the fast path declines the file or returns the record parser's exact table,
-    and that load_csv returns that table's columns or raises the record parser's error.
-    Returns whether the fast path took the file."""
+def _loads_alike_fresh_and_from_its_sidecar(path, monkeypatch) -> None:
+    """Assert that the file's first load and a second one that may not parse give byte-equal
+    arrays and names, or that the first load fails naming the path and leaves nothing beside
+    the file."""
+    _sidecar(path).unlink(missing_ok=True)
     try:
-        header, table = _record_table(str(path), False)
+        fresh = load_csv(str(path))
     except ValueError as exc:
-        assert _plain_table(str(path), False) is None
-        with pytest.raises(ValueError) as raised:
-            load_csv(str(path))
-        assert str(raised.value) == str(exc)
-        return False
-    fast = _plain_table(str(path), False)
-    if fast is not None:
-        assert fast[0] == header
-        assert fast[1].shape == table.shape and fast[1].tobytes() == table.tobytes()
-    ds = load_csv(str(path))
-    features = [j for j, name in enumerate(header) if name not in ("Class", "Time")]
-    assert ds.feature_names == tuple(header[j] for j in features)
-    assert ds.features.shape == (len(table), len(features))
-    assert ds.features.tobytes() == np.ascontiguousarray(table[:, features]).tobytes()
-    assert ds.labels.tobytes() == table[:, header.index("Class")].astype(np.int64).tobytes()
-    if "Time" in header:
-        assert ds.time.tobytes() == np.ascontiguousarray(table[:, header.index("Time")]).tobytes()
-    else:
-        assert ds.time is None
-    return fast is not None
+        assert str(exc).startswith(f"{path}: ")
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        return
+    with monkeypatch.context() as patched:
+        _no_parse(patched)
+        _assert_same(load_csv(str(path)), fresh)
 
 
-def test_load_csv_property(tmp_path) -> None:
+def test_load_csv_property(tmp_path, monkeypatch) -> None:
     """Generated files load to the written table, or fail naming the planted fault's line.
 
-    Each file, a mutated copy of it and two mutated copies of a fault-free plain file also go
-    through both readers, which must agree.
+    Each file, a mutated copy of it and two mutated copies of a fault-free file also load the
+    same from the sidecar as fresh, or fail leaving nothing beside them.
     """
     path = tmp_path / "generated.csv"
-    taken = 0
     for seed in range(300):
         rng = random.Random(seed)
         fault = rng.choice([None, "short", "non_numeric", "inf", "label"])
-        names, table, text, message = _generated_csv(rng, fault, plain=rng.random() < 0.5)
+        names, table, text, message = _generated_csv(rng, fault)
         encoding = rng.choice(["utf-8", "utf-8-sig"])
         path.write_text(text, encoding=encoding)
-        taken += _readers_agree(path)
+        _loads_alike_fresh_and_from_its_sidecar(path, monkeypatch)
         if message is not None:
             with pytest.raises(ValueError, match=re.escape(f"generated.csv: {message}")):
                 load_csv(str(path))
@@ -567,12 +563,10 @@ def test_load_csv_property(tmp_path) -> None:
                 np.testing.assert_array_equal(ds.time, table[:, names.index("Time")])
             else:
                 assert ds.time is None
-        # mutate this file and a fault-free plain one, which numpy's parser would read as it is
-        plain_text = _generated_csv(rng, None, plain=True)[2]
-        for base in (text, plain_text, plain_text):
+        clean_text = _generated_csv(rng, None)[2]
+        for base in (text, clean_text, clean_text):
             path.write_bytes(_mutated(rng, base).encode(encoding))
-            taken += _readers_agree(path)
-    assert taken >= 60  # the fast path is exercised, not only declined
+            _loads_alike_fresh_and_from_its_sidecar(path, monkeypatch)
 
 
 def test_csv_round_trip_is_exact(tmp_path) -> None:
@@ -602,7 +596,6 @@ def _no_parse(monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("the file was parsed")
 
-    monkeypatch.setattr(data, "_plain_table", refuse)
     monkeypatch.setattr(data, "_record_table", refuse)
 
 
@@ -617,8 +610,8 @@ def _assert_same(got: Dataset, want: Dataset) -> None:
 
 
 def _write_table(path, rng, with_time: bool, quoted: bool) -> None:
-    """A labelled CSV of random doubles; quoted labels, as the public file has, need the
-    record parser."""
+    """A labelled CSV of random doubles; if quoted, its labels are quoted, as the public
+    file's are."""
     names = (["Time"] if with_time else []) + ["V1", "V2", "V3", "Class"]
     lines = [",".join(names)]
     for _ in range(50):
@@ -634,7 +627,6 @@ def test_sidecar_hit_is_byte_equal_to_a_fresh_parse(tmp_path, monkeypatch, quote
     path = tmp_path / "table.csv"
     _write_table(path, np.random.default_rng(5), with_time, quoted)
     os.chmod(path, 0o640)
-    assert (_plain_table(str(path), False) is None) == quoted
     parsed = load_csv(str(path))
     assert (parsed.time is not None) == with_time
     assert stat.S_IMODE(os.stat(_sidecar(path)).st_mode) == 0o640  # readable as the csv is
@@ -664,7 +656,13 @@ def test_a_sidecar_of_another_parser_is_parsed_again(tmp_path, monkeypatch):
     load_csv(str(path))
     monkeypatch.setattr(data, "_source_digest", lambda: b"\0" * 32)
     parsed = []
-    monkeypatch.setattr(data, "_plain_table", lambda *args: parsed.append(args) or None)
+    record_table = data._record_table
+
+    def counted(*args):
+        parsed.append(args)
+        return record_table(*args)
+
+    monkeypatch.setattr(data, "_record_table", counted)
     np.testing.assert_array_equal(load_csv(str(path)).features, [[1.5], [2.5]])
     assert len(parsed) == 1
 
