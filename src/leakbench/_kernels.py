@@ -6,8 +6,12 @@ by feature (column 0 first) as ``sum_j (q_j - r_j) ** 2``, starting from
 the last bits and can flip near-ties.  The accumulation runs over
 cache-sized tiles of the distance matrix: a block of query rows against
 a block of reference columns, with one preallocated scratch tile for the
-per-feature term.  Every element sees the same operations in the same
-order as the untiled loop, so the results are bitwise equal to it.
+per-feature term.  A tile smaller than its buffers is computed in their
+leading h x w elements, not in an h x w slice of them: a slice of a
+wider buffer is strided, and numpy runs each ufunc call on a strided
+tile as one short loop per row instead of one flat loop.  Every element
+sees the same operations in the same order as the untiled loop, so the
+results are bitwise equal to it.
 
 ``knn`` builds every neighbour list with one merge, ``_fold``.  Each
 query row's k-list starts empty: an empty slot holds distance ``inf``
@@ -32,12 +36,13 @@ full n_query x n_ref matrix is never held.  A self-search,
 ``knn(x, x, k, self_idx=arange(n))`` with one array object as both
 query and ref (as the resamplers call it), computes each pair's
 distance once.  The rows are cut into equal blocks of about 256 rows,
-at least k + 1 each, and every block pair's tile is computed once and
-folded into both blocks' lists, as it stands and transposed, the last
-blocks first.  fl(a - b) = -fl(b - a), so the transposed tile holds
-the squares, summed from 0 in the same feature order, that the other
-block's rows would compute: the results are bitwise equal to the
-streamed search.
+at least k + 1 each (3,800 rows make 15 blocks of 253 and 254 rows, so
+most of their tiles are narrower than their buffers), and every block
+pair's tile is computed once and folded into both blocks' lists, as it
+stands and transposed, the last blocks first.  fl(a - b) = -fl(b - a),
+so the transposed tile holds the squares, summed from 0 in the same
+feature order, that the other block's rows would compute: the results
+are bitwise equal to the streamed search.
 
 A self-search of more than one tile computes its tiles on a pool of
 threads, since numpy releases the GIL inside each tile's ufunc calls:
@@ -52,11 +57,14 @@ caller when the fold reaches its tile, and the pool is joined before
 ``knn`` returns or raises.  The streamed search stays on the calling
 thread: its strips are n_ref columns wide, too large to hold a ring
 of them.  At 30 features and k=5 (2-vCPU host, so two workers;
-interleaved median of 7) a 5,000-row self-search takes 0.52 s against
-0.69 s on one thread and 1.04 s streamed, and 10,000 rows 1.93 s
-against 2.27 s and 3.76 s.  The fold, now the serial part, is about
-half of a pooled search: the workers' GIL hand-offs slow it to about
-twice its time on one thread.
+interleaved medians; one CPU is ``taskset -c 0``) a 5,000-row
+self-search takes 0.52 s against 0.64 s on one CPU and 0.99 s
+streamed, and 10,000 rows 1.8 s against 2.9 s and 4.3 s.  At 3,800
+rows and k=3, the shape of ENN's search in perfbench's ``neighbors``
+workload, it takes 0.28 s against 0.40 s on one CPU; with strided
+tiles it took 0.39 s and 0.44 s.  The fold, now the serial part, is
+about two thirds of a pooled search and a quarter of one on one CPU:
+the workers' GIL hand-offs slow it to about twice its time on one CPU.
 
 Every tile runs with numpy's ufunc buffer at 512 elements, and the
 caller's size is restored on return or error.  At numpy's default
@@ -135,7 +143,8 @@ def _sq_dists_into(
         for r0 in range(0, query.shape[0], rows):
             q_blk = query[r0 : r0 + rows]
             acc = out[r0 : r0 + rows, c0 : c0 + cols]
-            tile = diff[: acc.shape[0], : acc.shape[1]]
+            # the scratch's leading elements, contiguous whatever its width
+            tile = diff.reshape(-1)[: acc.size].reshape(acc.shape)
             acc[...] = 0.0
             for j in range(query.shape[1]):
                 np.subtract(q_blk[:, j, None], ref_blk[j], out=tile)
@@ -301,7 +310,8 @@ def _self_knn(x: np.ndarray, k: int, idx: np.ndarray, sqd: np.ndarray) -> None:
 
     def compute(pair, out, diff):
         a0, a1, b0, b1 = pair
-        tile = out[: a1 - a0, : b1 - b0]
+        # the ring buffer's leading elements, contiguous whatever its width
+        tile = out.reshape(-1)[: (a1 - a0) * (b1 - b0)].reshape(a1 - a0, b1 - b0)
         _sq_dists_into(x[a0:a1], x_t[:, b0:b1], tile, diff)
         return tile
 

@@ -61,9 +61,10 @@ DEFAULT_N_VALUES = tuple(REFERENCE_RESULTS)
 
 # Datasets larger than this refuse the all-pairs methods unless
 # allow_quadratic is set.  A kNN self-search, which computes each pair's
-# distance once on a thread per CPU, took 0.52 s for 5,000 rows and 1.93 s
-# for 10,000 rows (30 features, k=5, both vCPUs of a 2-vCPU host; 0.69 s
-# and 2.27 s on one thread in the same run): 48 and 52 million
+# distance once on a thread per CPU, took 7.6 s for 20,000 rows and 28 s
+# for 40,000 rows (30 features, k=5, both vCPUs of a 2-vCPU host), whose
+# blocks differ by a row (253 and 254 rows, 254 and 255) as they do at
+# this limit (255 and 256): 53 and 57 million
 # query-reference pairs per second, so one all-pairs self-search at this
 # limit (1e10 pairs) takes about 3 minutes.  The cleaning step of
 # SMOTE-ENN and SMOTE-Tomek searches the oversampled rows, up to twice as

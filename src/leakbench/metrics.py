@@ -86,8 +86,9 @@ def evaluate(labels: np.ndarray, scores: np.ndarray, threshold: float) -> Metric
 
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    # last position of each tied-score group, and the rows up to it
-    ends = np.append(np.nonzero(np.diff(sorted_scores))[0], len(scores) - 1)
+    # last position of each tied-score group, and the rows up to it; a
+    # comparison, not a difference, so that equal infinities tie
+    ends = np.append(np.nonzero(sorted_scores[1:] != sorted_scores[:-1])[0], len(scores) - 1)
     counts = ends + 1
     tps = np.cumsum(labels[order])[ends]
     fps = counts - tps

@@ -196,6 +196,57 @@ def test_self_search_of_an_equal_copy_streams_to_the_same_result(monkeypatch) ->
         calls.clear()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(("block", "n"), [(7, 3 * 7 + 1), (_kernels._SELF_BLOCK, 3_800)])
+def test_self_search_tiles_and_scratch_are_contiguous(monkeypatch, block, n, cpus) -> None:
+    # rows that do not split into equal blocks leave most tiles narrower than
+    # their buffers; a strided view runs numpy's per-row loop, and a view
+    # that was a copy would leave the tile unwritten in its ring buffer
+    monkeypatch.setattr(_kernels, "_SELF_BLOCK", block)
+    _set_cpus(monkeypatch, cpus)
+    x = np.random.default_rng(n).standard_normal((n, 4))
+    self_idx = np.arange(n, dtype=np.int64)
+    want = knn(x, x.copy(), 3, self_idx=self_idx)  # the streamed search
+
+    tiles, outs, scratches = [], [], []  # list.append is atomic, so workers may share them
+    scratch_of = {}  # each worker's scratch buffer, by thread
+    real_tiles, real_tile, real_subtract = _kernels._tiles, _kernels._sq_dists_into, np.subtract
+
+    def spy_tiles(pairs, size, compute):
+        def spy_compute(pair, out, diff):
+            tile = compute(pair, out, diff)
+            narrower = tile.shape != out.shape
+            tiles.append((narrower, tile.flags.c_contiguous, np.shares_memory(tile, out)))
+            return tile
+
+        return real_tiles(pairs, size, spy_compute)
+
+    def spy_tile(query, ref_t, out, diff):
+        scratch_of[threading.get_ident()] = diff
+        outs.append(out.flags.c_contiguous)
+        return real_tile(query, ref_t, out, diff)
+
+    def spy_subtract(*args, out=None, **kwargs):
+        diff = scratch_of.get(threading.get_ident())
+        if diff is not None and out is not None:
+            scratches.append(out.flags.c_contiguous and np.shares_memory(out, diff))
+        return real_subtract(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(_kernels, "_tiles", spy_tiles)
+    monkeypatch.setattr(_kernels, "_sq_dists_into", spy_tile)
+    monkeypatch.setattr(np, "subtract", spy_subtract)
+    idx, sqd = knn(x, x, 3, self_idx=self_idx)
+    monkeypatch.undo()
+
+    blocks = -(-n // block)
+    assert len(tiles) == len(outs) == blocks * (blocks + 1) // 2
+    assert len(scratches) == 4 * len(tiles)
+    assert any(narrower for narrower, _, _ in tiles)  # the uneven case is exercised
+    assert all(contiguous and shared for _, contiguous, shared in tiles)
+    assert all(outs) and all(scratches)
+    assert np.array_equal(idx, want[0]) and np.array_equal(sqd, want[1])
+
+
 def test_knn_restores_the_ufunc_buffer_size(monkeypatch) -> None:
     _set_cpus(monkeypatch, 2)
     rng = np.random.default_rng(29)

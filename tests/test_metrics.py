@@ -4,6 +4,7 @@ one-sweep `evaluate` pinned bitwise to the earlier per-metric helpers."""
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -120,6 +121,22 @@ def test_roc_all_tied_scores_is_chance() -> None:
     rep = evaluate(labels, np.full(5, 0.7), 0.5)
     assert rep.scalars.roc_auc == pytest.approx(0.5)
     np.testing.assert_allclose(rep.roc_points, [[0.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 0], [1, 0, 0]])
+def test_tied_infinite_scores_are_one_group(labels) -> None:
+    # inf - inf is nan, so a difference of sorted scores split a tie of
+    # infinities, and the curves depended on row order
+    labels = np.array(labels)
+    finite = evaluate(labels, np.array([0.9, 0.9, 0.1]), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        infinite = evaluate(labels, np.array([np.inf, np.inf, -np.inf]), 0.5)
+    assert (infinite.scalars.roc_auc, infinite.scalars.average_precision) == (0.75, 0.5)
+    assert astuple(infinite.scalars) == astuple(finite.scalars)
+    assert infinite.confusion == finite.confusion
+    assert np.array_equal(infinite.roc_points, finite.roc_points)
+    assert np.array_equal(infinite.prc_points, finite.prc_points)
 
 
 def test_roc_requires_both_classes() -> None:
