@@ -44,27 +44,27 @@ so the transposed tile holds the squares, summed from 0 in the same
 feature order, that the other block's rows would compute: the results
 are bitwise equal to the streamed search.
 
-A self-search of more than one tile computes its tiles on a pool of
-threads, since numpy releases the GIL inside each tile's ufunc calls:
-one worker per CPU in the process's affinity mask, and fewer workers
-than tiles.  The calling thread does every fold, in the order above,
-so the lists are those of a search on one thread.  Worker w computes
-tiles w, w + workers, ... into a ring of 2 x workers buffers, and
-writes a slot only after the caller has folded the slot's last tile,
-so a search holds at most 3 x workers tiles (each worker owns a scratch
-tile too), however many it computes.  A worker's error is raised in the
-caller when the fold reaches its tile, and the pool is joined before
-``knn`` returns or raises.  The streamed search stays on the calling
-thread: its strips are n_ref columns wide, too large to hold a ring
-of them.  At 30 features and k=5 (2-vCPU host, so two workers;
+A self-search of more than one tile computes its tiles on a
+``concurrent.futures`` thread pool, since numpy releases the GIL inside
+each tile's ufunc calls: one worker per CPU in the process's affinity
+mask, fewer workers than tiles, and none on one CPU, where a worker
+could only take turns with the folds.  The calling thread does every
+fold, in the order above, so the lists are those of a search on one
+thread.  The tiles go through a ring of 2 x workers buffers: the caller
+submits the first 2 x workers tiles, and each later one into the buffer
+of the tile it has just folded, so a search holds at most 3 x workers
+tiles (each worker keeps one scratch tile), however many it computes.
+A worker's error is raised in the caller in its tile's turn; on any
+error the tiles not yet started are cancelled, and the pool is joined
+before ``knn`` returns or raises.  The streamed search stays on the
+calling thread: its strips are n_ref columns wide, too large to hold a
+ring of them.  At 30 features and k=5 (2-vCPU host, so two workers;
 interleaved medians; one CPU is ``taskset -c 0``) a 5,000-row
-self-search takes 0.52 s against 0.64 s on one CPU and 0.99 s
-streamed, and 10,000 rows 1.8 s against 2.9 s and 4.3 s.  At 3,800
-rows and k=3, the shape of ENN's search in perfbench's ``neighbors``
-workload, it takes 0.28 s against 0.40 s on one CPU; with strided
-tiles it took 0.39 s and 0.44 s.  The fold, now the serial part, is
-about two thirds of a pooled search and a quarter of one on one CPU:
-the workers' GIL hand-offs slow it to about twice its time on one CPU.
+self-search takes 0.52 s against 0.64 s on one CPU and 0.99 s streamed,
+and 10,000 rows 1.8 s against 2.9 s and 4.3 s.  At 3,800 rows and k=3,
+the shape of ENN's search in perfbench's ``neighbors`` workload, it
+takes 0.28 s against 0.40 s on one CPU, two thirds of it in the serial
+folds, which the workers' GIL hand-offs slow to twice their time alone.
 
 Every tile runs with numpy's ufunc buffer at 512 elements, and the
 caller's size is restored on return or error.  At numpy's default
@@ -72,8 +72,8 @@ caller's size is restored on return or error.  At numpy's default
 the buffer takes numpy's buffered path, at 1.0-1.9 ns per element
 instead of 0.3-0.6, which every reference under 2,731 rows paid.
 numpy keeps its error state and buffer size per thread (1.x) or per
-context (2.x), and a new thread starts with the defaults, so each pool
-worker runs under the caller's error state and the 512-element buffer.
+context (2.x), and a new thread starts with the defaults, so each pooled
+tile runs under the caller's error state and the 512-element buffer.
 
 Inputs must be finite: ``nan`` and ``inf`` are rejected, since their
 distances do not order.  All searches are exhaustive
@@ -85,6 +85,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 
 import numpy as np
@@ -231,59 +232,39 @@ def _tiles(pairs: list, size: int, compute):
 
     ``out`` and ``diff`` are (size, size) buffers, and each result, a
     view of ``out``, is valid until the next one is asked for.  With
-    more than one pair, a pool of threads computes the tiles ahead of
-    the caller (see the module docstring); a worker's error is raised
-    in its pair's turn, and closing the generator stops and joins the
-    pool.
+    more than one pair and more than one CPU, a pool of threads computes
+    the tiles ahead of the caller (see the module docstring); a worker's
+    error is raised in its pair's turn, and closing the generator
+    cancels the tiles not yet started and joins the pool.
     """
-    workers = min(_cpu_count(), len(pairs) - 1)
+    cpus = _cpu_count()
+    workers = min(cpus, len(pairs) - 1) if cpus > 1 else 0
     if workers < 1:
         out, diff = np.empty((size, size)), np.empty((size, size))
         for pair in pairs:
             yield compute(pair, out, diff)
         return
     ring = [np.empty((size, size)) for _ in range(2 * workers)]
-    free = [threading.Semaphore(1) for _ in ring]
-    ready = [threading.Semaphore(0) for _ in ring]
-    done: list = [None] * len(ring)  # each slot's tile, or its worker's error
-    stop = threading.Event()
+    scratch = threading.local()
     state = dict(np.geterr(), call=np.geterrcall())
 
-    def work(w: int) -> None:
-        diff = np.empty((size, size))
+    def work(pair, out):
+        if not hasattr(scratch, "diff"):
+            scratch.diff = np.empty((size, size))
         with np.errstate(**state), _tile_buffer():
-            for i in range(w, len(pairs), workers):
-                s = i % len(ring)
-                free[s].acquire()
-                if stop.is_set():
-                    return
-                try:
-                    done[s] = compute(pairs[i], ring[s], diff)
-                except BaseException as err:  # raised in the caller
-                    done[s] = err
-                    return
-                finally:
-                    ready[s].release()
+            return compute(pair, out, scratch.diff)
 
-    threads = []
-    try:
-        for w in range(workers):
-            thread = threading.Thread(target=work, args=(w,), daemon=True)
-            thread.start()
-            threads.append(thread)
-        for i in range(len(pairs)):
-            s = i % len(ring)
-            ready[s].acquire()
-            if isinstance(done[s], BaseException):
-                raise done[s]
-            yield done[s]
-            free[s].release()
-    finally:
-        stop.set()
-        for sem in free:
-            sem.release()
-        for thread in threads:
-            thread.join()
+    with ThreadPoolExecutor(workers) as pool:
+        # pair i goes into ring[i % len(ring)] once pair i - len(ring) is folded
+        futures = [pool.submit(work, pair, out) for pair, out in zip(pairs, ring)]
+        try:
+            for i in range(len(pairs)):
+                yield futures[i].result()
+                if i + len(ring) < len(pairs):
+                    futures.append(pool.submit(work, pairs[i + len(ring)], ring[i % len(ring)]))
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def _self_knn(x: np.ndarray, k: int, idx: np.ndarray, sqd: np.ndarray) -> None:

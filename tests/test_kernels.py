@@ -329,6 +329,7 @@ def test_self_search_leaves_no_thread_behind(monkeypatch, cpus) -> None:
     monkeypatch.setattr(_kernels, "_SELF_BLOCK", 16)
     x = np.random.default_rng(43).standard_normal((200, 4))
     self_idx = np.arange(200, dtype=np.int64)
+    real_tile = _kernels._sq_dists_into
     before = threading.active_count()
     knn(x, x, 3, self_idx=self_idx)
     assert threading.active_count() == before
@@ -337,6 +338,48 @@ def test_self_search_leaves_no_thread_behind(monkeypatch, cpus) -> None:
     with pytest.raises(RuntimeError, match="injected tile"):
         knn(x, x, 3, self_idx=self_idx)
     assert threading.active_count() == before
+
+    # a fold's error stops the pool too: the first tile is quick and every
+    # other tile slow, so the ring is still queued when the first fold raises
+    computed = itertools.count()  # next() on a count is atomic, so workers may share it
+
+    def slow_tile(*args):
+        if next(computed):
+            time.sleep(0.05)
+        return real_tile(*args)
+
+    def failing_fold(*args):
+        raise RuntimeError("injected fold")
+
+    monkeypatch.setattr(_kernels, "_sq_dists_into", slow_tile)
+    monkeypatch.setattr(_kernels, "_fold", failing_fold)
+    with pytest.raises(RuntimeError, match="injected fold"):
+        knn(x, x, 3, self_idx=self_idx)
+    assert threading.active_count() == before
+    # the ring holds 2 x workers tiles, but only the tiles the workers had
+    # started when the first tile's fold raised are computed
+    workers = cpus if cpus > 1 else 0
+    assert next(computed) - 1 <= workers
+
+
+def test_one_cpu_computes_every_tile_on_the_calling_thread(monkeypatch) -> None:
+    # a worker on one CPU could only take turns with the caller's folds
+    _set_cpus(monkeypatch, 1)
+    monkeypatch.setattr(_kernels, "_SELF_BLOCK", 16)
+    x = np.random.default_rng(59).standard_normal((200, 4))
+    self_idx = np.arange(200, dtype=np.int64)
+    threads = []
+    real_tile = _kernels._sq_dists_into
+
+    def tile(*args):
+        threads.append(threading.get_ident())
+        return real_tile(*args)
+
+    monkeypatch.setattr(_kernels, "_sq_dists_into", tile)
+    knn(x, x, 3, self_idx=self_idx)
+    blocks = -(-200 // 16)
+    assert len(threads) == blocks * (blocks + 1) // 2
+    assert set(threads) == {threading.get_ident()}
 
 
 def test_self_search_is_exact_under_fast_thread_switches(monkeypatch) -> None:
