@@ -1,79 +1,69 @@
 """Brute-force distance kernels shared by the resamplers.
 
-One numpy implementation.  Squared distances are accumulated feature
-by feature (column 0 first) as ``sum_j (q_j - r_j) ** 2``, starting from
-0, never through the ``|q|^2 + |r|^2 - 2 q.r`` expansion, which changes
-the last bits and can flip near-ties.  The accumulation runs over
+One numpy implementation.  A squared distance is the sum
+``sum_j (q_j - r_j) ** 2`` accumulated feature by feature, column 0
+first, starting from 0.  Both functions return exactly these sums, never
+the ``|q|^2 + |r|^2 - 2 q.r`` expansion, whose last bits differ and can
+flip near-ties; ``knn`` breaks exact ties toward the lower reference row
+index.
+
+``pairwise_sq_dists`` (k-means seeding) accumulates the sums over
 cache-sized tiles of the distance matrix: a block of query rows against
 a block of reference columns, with one preallocated scratch tile for the
 per-feature term.  A tile smaller than its buffers is computed in their
 leading h x w elements, not in an h x w slice of them: a slice of a
 wider buffer is strided, and numpy runs each ufunc call on a strided
-tile as one short loop per row instead of one flat loop.  Every element
-sees the same operations in the same order as the untiled loop, so the
-results are bitwise equal to it.
+tile as one short loop per row instead of one flat loop.  The tiles run
+with numpy's ufunc buffer at 512 elements, and the caller's size is
+restored on return or error.  At numpy's default 8,192, a broadcast
+subtraction whose rows are shorter than a third of the buffer takes
+numpy's buffered path, at 1.0-1.9 ns per element instead of 0.3-0.6.
 
-``knn`` builds every neighbour list with one merge, ``_fold``.  Each
-query row's k-list starts empty: an empty slot holds distance ``inf``
-and index ``_EMPTY``, the int64 maximum, which sorts after every row
-index.  A fold keeps the tile entries at or below a row's k-th distance
-and sorts them with the row's list by distance, stably, tile entries
-first.  Each fold's reference rows have lower indices than the rows
-already in its lists, so distance ties go to the lower reference row
-index exactly as a full stable sort of the row would put them.  While a list's k-th
-distance is ``inf``, the bound is also the tile row's own k-th smallest
-entry (``np.partition``), which is exact: k entries of its own row beat
-any entry above it.  A row's excluded self is marked ``nan``, which
-partitions last and compares false, so it is never kept.  This relies
-on every fold's tile row holding at least k entries that are not
-``nan``: ``knn`` checks k against the eligible rows, and every
-self-search block holds at least k + 1 rows.  So a list's first fold
-fills all k slots, and ``_EMPTY`` is never returned.
+``knn`` computes only the sums it needs.  It cuts the query rows into
+blocks of ``_BLOCK_ELEMS // n_ref`` rows, at least one, and for each
+block picks candidates with the expansion, one matrix product on BLAS,
+under a rigorous bound on its rounding error.  Both sides are first
+centred on ``ref``'s column mean: that leaves every difference q - r as
+it was but shrinks the norms, and so the bound.  For query row i and
+reference row j (centred, d features) the block holds
+``a_ij = |r_j|^2 - 2 q_i.r_j``; the expansion's ``|q_i|^2`` is the same
+for every column of the row, so it is left out.  With u = eps / 2 and
+gamma_m = m u / (1 - m u), the error analysis of dot products in Higham,
+*Accuracy and Stability of Numerical Algorithms* (2nd ed., 2002), ch. 3,
+bounds the rounding of a_ij, of the centring and of the sum itself
+together by
 
-The streamed search computes one strip of query rows against all of
-``ref`` at a time and folds it into the strip's empty lists, so the
-full n_query x n_ref matrix is never held.  A self-search,
-``knn(x, x, k, self_idx=arange(n))`` with one array object as both
-query and ref (as the resamplers call it), computes each pair's
-distance once.  The rows are cut into equal blocks of about 256 rows,
-at least k + 1 each (3,800 rows make 15 blocks of 253 and 254 rows, so
-most of their tiles are narrower than their buffers), and every block
-pair's tile is computed once and folded into both blocks' lists, as it
-stands and transposed, the last blocks first.  fl(a - b) = -fl(b - a),
-so the transposed tile holds the squares, summed from 0 in the same
-feature order, that the other block's rows would compute: the results
-are bitwise equal to the streamed search.
+    e_i = 4 gamma_{d+4} (|q_i| + max_j |r_j|)^2 + tiny,
 
-A self-search of more than one tile computes its tiles on a
-``concurrent.futures`` thread pool, since numpy releases the GIL inside
-each tile's ufunc calls: one worker per CPU in the process's affinity
-mask, fewer workers than tiles, and none on one CPU, where a worker
-could only take turns with the folds.  The calling thread does every
-fold, in the order above, so the lists are those of a search on one
-thread.  The tiles go through a ring of 2 x workers buffers: the caller
-submits the first 2 x workers tiles, and each later one into the buffer
-of the tile it has just folded, so a search holds at most 3 x workers
-tiles (each worker keeps one scratch tile), however many it computes.
-A worker's error is raised in the caller in its tile's turn; on any
-error the tiles not yet started are cancelled, and the pool is joined
-before ``knn`` returns or raises.  The streamed search stays on the
-calling thread: its strips are n_ref columns wide, too large to hold a
-ring of them.  At 30 features and k=5 (2-vCPU host, so two workers;
-interleaved medians; one CPU is ``taskset -c 0``) a 5,000-row
-self-search takes 0.52 s against 0.64 s on one CPU and 0.99 s streamed,
-and 10,000 rows 1.8 s against 2.9 s and 4.3 s.  At 3,800 rows and k=3,
-the shape of ENN's search in perfbench's ``neighbors`` workload, it
-takes 0.28 s against 0.40 s on one CPU, two thirds of it in the serial
-folds, which the workers' GIL hand-offs slow to twice their time alone.
+about twice what they need, which covers the rounding of the bound
+itself.  ``tiny``, the smallest normal float64, covers the absolute error
+of products that underflow.  So every sum s_ij, less |q_i|^2, is within
+e_i of a_ij, whatever BLAS's summation order.  If c is the k-th smallest
+a_ij of row i, k eligible rows have sums at most c + e_i (plus |q_i|^2),
+so the k-th smallest sum is too, and every row whose sum ties or beats
+it has a_ij at most ``cut_i = c + 2 e_i``.  The columns at or below
+cut_i are the candidates; their sums are recomputed from the raw rows
+in the order above, and a stable sort by (row, sum, index) takes the
+first k.  The lists are those of a full stable sort of every sum,
+however near the ties, for a few sums per row.  FAISS runs exact search
+through the same expansion on GEMM (Johnson, Douze and Jegou,
+"Billion-scale similarity search with GPUs", IEEE Trans. Big Data,
+2019); the bound and the recompute remove its loss of precision.
 
-Every tile runs with numpy's ufunc buffer at 512 elements, and the
-caller's size is restored on return or error.  At numpy's default
-8,192, a broadcast subtraction whose rows are shorter than a third of
-the buffer takes numpy's buffered path, at 1.0-1.9 ns per element
-instead of 0.3-0.6, which every reference under 2,731 rows paid.
-numpy keeps its error state and buffer size per thread (1.x) or per
-context (2.x), and a new thread starts with the defaults, so each pooled
-tile runs under the caller's error state and the 512-element buffer.
+A row's excluded self is set to inf before the k-th smallest a_ij is
+taken, and it is never a candidate.  When cut_i is not finite (inf or
+nan) the whole row is recomputed.  That covers overflow: a sum that
+overflows has |q_i - r_j|^2 > DBL_MAX / 2, so (2 (|q_i| + max_j |r_j|))^2
+overflows, e_i is inf, and every pair of the row is summed as an
+exhaustive search sums it.  The prefilter runs with every floating-point
+error ignored, since an overflow there only widens a bound; the sums run
+under the caller's error state, so ``over="raise"`` raises exactly when
+an exhaustive search would.
+
+A block holds about 2 MB of a_ij, plus a partitioned copy, and a
+centred copy of ``ref`` is held for the whole search.  The matrix
+product runs on BLAS's own threads, the one level of parallelism in the
+kernels; the rest runs on the calling thread.
 
 Inputs must be finite: ``nan`` and ``inf`` are rejected, since their
 distances do not order.  All searches are exhaustive
@@ -83,10 +73,7 @@ expected to gate that behind an explicit opt-in.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -95,7 +82,7 @@ __all__ = ["backend_name", "knn", "pairwise_sq_dists"]
 # A distance tile holds about this many float64 elements (512 kB), so
 # that the tile and its scratch stay in a core's cache while all
 # features are accumulated into it.  Picked from a sweep of 2**15 to
-# 2**18 over the kNN shapes the resamplers run.
+# 2**18, when these tiles also computed the kNN searches.
 _TILE_ELEMS = 2**16
 # Widest tile in reference columns; narrower references get taller
 # tiles, so a one-column search such as k-means seeding does not pay
@@ -108,12 +95,13 @@ _TILE_COLS = 8192
 # this buffer, which makes it two to six times slower per element: at
 # 512 that is tiles under 171 columns, at the default 8,192 under 2,731.
 _UFUNC_BUFSIZE = 512
-# Rows per block of a self-search, so that a block pair's tile holds
-# about _TILE_ELEMS distances.
-_SELF_BLOCK = 256
-# Index of an empty k-list slot, whose distance is inf: it sorts after
-# every reference row index.
-_EMPTY = np.iinfo(np.int64).max
+# A kNN block's approximate distances take about this many float64
+# elements (2 MB), and at least one query row.
+_BLOCK_ELEMS = 2**18
+# float64's unit roundoff, and its smallest normal number, which bounds the
+# absolute error of the products that underflow
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
 
 
 def backend_name() -> str:
@@ -185,126 +173,6 @@ def pairwise_sq_dists(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold(tile: np.ndarray, col0: int, sqd: np.ndarray, idx: np.ndarray) -> None:
-    """Merge a distance tile into its rows' k-lists, in place.
-
-    Column c of ``tile`` is reference row ``col0 + c``; ``sqd`` and
-    ``idx`` hold each row's k nearest so far, ordered by (distance,
-    index).  Only entries at or below a row's k-th distance can enter
-    its list, and ``nan`` entries never do.  Each tile row must hold at
-    least k entries that are not ``nan``, and the tile's reference rows
-    must have lower indices than the rows already in its lists.
-    """
-    k = sqd.shape[1]
-    bound = sqd[:, -1:]
-    if np.isinf(bound).any():
-        # an unfilled list bounds nothing; the row's own k-th entry does
-        bound = np.minimum(bound, np.partition(tile, k - 1, axis=1)[:, k - 1, None])
-    # row-major positions, so rows come out sorted
-    rows, cols = np.divmod(np.flatnonzero(tile <= bound), tile.shape[1])
-    if not len(rows):
-        return
-    # only the rows with a candidate are merged
-    new_row = np.diff(rows, prepend=-1) != 0
-    hit = rows[new_row]
-    at = np.cumsum(new_row) - 1
-    # tile entries first, so a stable sort puts them ahead of equal list entries
-    r = np.concatenate([at, np.repeat(np.arange(len(hit)), k)])
-    d = np.concatenate([tile[rows, cols], sqd[hit].ravel()])
-    i = np.concatenate([cols + col0, idx[hit].ravel()])
-    order = np.lexsort((d, r))
-    first = np.searchsorted(r[order], np.arange(len(hit)))
-    take = order[first[:, None] + np.arange(k)]
-    sqd[hit] = d[take]
-    idx[hit] = i[take]
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _tiles(pairs: list, size: int, compute):
-    """Yield ``compute(pair, out, diff)`` for every pair, in order.
-
-    ``out`` and ``diff`` are (size, size) buffers, and each result, a
-    view of ``out``, is valid until the next one is asked for.  With
-    more than one pair and more than one CPU, a pool of threads computes
-    the tiles ahead of the caller (see the module docstring); a worker's
-    error is raised in its pair's turn, and closing the generator
-    cancels the tiles not yet started and joins the pool.
-    """
-    cpus = _cpu_count()
-    workers = min(cpus, len(pairs) - 1) if cpus > 1 else 0
-    if workers < 1:
-        out, diff = np.empty((size, size)), np.empty((size, size))
-        for pair in pairs:
-            yield compute(pair, out, diff)
-        return
-    ring = [np.empty((size, size)) for _ in range(2 * workers)]
-    scratch = threading.local()
-    state = dict(np.geterr(), call=np.geterrcall())
-
-    def work(pair, out):
-        if not hasattr(scratch, "diff"):
-            scratch.diff = np.empty((size, size))
-        with np.errstate(**state), _tile_buffer():
-            return compute(pair, out, scratch.diff)
-
-    with ThreadPoolExecutor(workers) as pool:
-        # pair i goes into ring[i % len(ring)] once pair i - len(ring) is folded
-        futures = [pool.submit(work, pair, out) for pair, out in zip(pairs, ring)]
-        try:
-            for i in range(len(pairs)):
-                yield futures[i].result()
-                if i + len(ring) < len(pairs):
-                    futures.append(pool.submit(work, pairs[i + len(ring)], ring[i % len(ring)]))
-        finally:
-            for future in futures:
-                future.cancel()
-
-
-def _self_knn(x: np.ndarray, k: int, idx: np.ndarray, sqd: np.ndarray) -> None:
-    """``knn(x, x, k, self_idx=arange(n))`` into the empty lists ``idx``, ``sqd``.
-
-    The rows are cut into equal blocks of at least k + 1 rows.  Each
-    block pair's tile is computed once and folded into both blocks'
-    lists, as it stands and transposed; a diagonal tile, its self
-    distances ``nan``, only once.  The pairs run from the last block
-    back, so each row's lists take the blocks in falling order.
-    fl(a - b) = -fl(b - a), so the transposed tile holds the very
-    distances the other block's rows would compute.  The tiles come
-    from ``_tiles``; the folds all run here, in that order.
-    """
-    n = len(x)
-    blocks = max(1, min(-(-n // _SELF_BLOCK), n // (k + 1)))
-    edges = [n * b // blocks for b in range(blocks + 1)]
-    x_t = np.ascontiguousarray(x.T)
-    pairs = [
-        (edges[a], edges[a + 1], edges[b], edges[b + 1])
-        for b in reversed(range(blocks))
-        for a in reversed(range(b + 1))
-    ]
-
-    def compute(pair, out, diff):
-        a0, a1, b0, b1 = pair
-        # the ring buffer's leading elements, contiguous whatever its width
-        tile = out.reshape(-1)[: (a1 - a0) * (b1 - b0)].reshape(a1 - a0, b1 - b0)
-        _sq_dists_into(x[a0:a1], x_t[:, b0:b1], tile, diff)
-        return tile
-
-    with closing(_tiles(pairs, -(-n // blocks), compute)) as tiles:
-        for (a0, a1, b0, b1), tile in zip(pairs, tiles):
-            if a0 == b0:
-                np.fill_diagonal(tile, np.nan)
-            _fold(tile, b0, sqd[a0:a1], idx[a0:a1])
-            if a0 < b0:
-                _fold(tile.T, a0, sqd[b0:b1], idx[b0:b1])
-
-
 def knn(
     query: np.ndarray,
     ref: np.ndarray,
@@ -318,9 +186,8 @@ def knn(
     ``ref``.  Returns ``(indices, squared_distances)``, each of shape
     (n_query, k), nearest first, ties broken toward the lower index.
     """
-    self_search = ref is query
     query = _as_matrix(query)
-    ref = query if self_search else _as_matrix(ref)
+    ref = _as_matrix(ref)
     if query.shape[1] != ref.shape[1]:
         raise ValueError("query and ref must have the same number of columns")
     n_ref = ref.shape[0]
@@ -342,23 +209,44 @@ def knn(
     if k > eligible:
         raise ValueError(f"k={k} exceeds the {eligible} eligible reference rows")
 
-    n_query = query.shape[0]
-    idx = np.full((n_query, k), _EMPTY)
-    sqd = np.full((n_query, k), np.inf)
-    with _tile_buffer():
-        if self_search and np.array_equal(self_idx, np.arange(n_query)):
-            _self_knn(query, k, idx, sqd)
-            return idx, sqd
-        rows, cols = _tile_shape(*ref.shape)
-        ref_t = np.ascontiguousarray(ref.T)
-        diff = np.empty((rows, cols))
-        dists_buf = np.empty((rows, n_ref))
-        for start in range(0, n_query, rows):
-            stop = min(n_query, start + rows)
-            dists = dists_buf[: stop - start]
-            _sq_dists_into(query[start:stop], ref_t, dists, diff)
-            excl = self_idx[start:stop]
-            hit = np.nonzero(excl >= 0)[0]
-            dists[hit, excl[hit]] = np.nan
-            _fold(dists, 0, sqd[start:stop], idx[start:stop])
+    n_query, n_features = query.shape
+    # gamma_{d+4} (Higham, ch. 3); see the module docstring for the bound
+    m = n_features + 4
+    gamma = m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)
+    rows = max(1, _BLOCK_ELEMS // n_ref)
+    idx = np.empty((n_query, k), dtype=np.int64)
+    sqd = np.empty((n_query, k))
+    with np.errstate(all="ignore"):
+        mean = ref.mean(axis=0)
+        ref_c = ref - mean
+        ref_sq = np.einsum("ij,ij->i", ref_c, ref_c)
+        ref_norm = np.sqrt(ref_sq.max())
+        ref_c *= -2.0  # exact, so the product below is -2 q.r
+    for start in range(0, n_query, rows):
+        stop = min(n_query, start + rows)
+        excl = self_idx[start:stop]
+        own = np.nonzero(excl >= 0)[0]
+        with np.errstate(all="ignore"):
+            q_c = query[start:stop] - mean
+            q_sq = np.einsum("ij,ij->i", q_c, q_c)
+            approx = q_c @ ref_c.T
+            approx += ref_sq
+            approx[own, excl[own]] = np.inf
+            err = gamma * (2.0 * (np.sqrt(q_sq) + ref_norm)) ** 2 + _TINY
+            cut = np.partition(approx, k - 1, axis=1)[:, k - 1] + 2.0 * err
+            keep = approx <= cut[:, None]
+        keep[~np.isfinite(cut)] = True
+        keep[own, excl[own]] = False
+        # row-major positions, so rows come out sorted
+        r, c = np.divmod(np.flatnonzero(keep), n_ref)
+        dist = np.zeros(len(r))
+        for q_col, r_col in zip(query[start:stop].T, ref.T):
+            diff = q_col[r] - r_col[c]
+            diff *= diff
+            dist += diff
+        # a stable sort, so equal distances keep each row's index order
+        order = np.lexsort((dist, r))
+        take = order[np.searchsorted(r, np.arange(stop - start))[:, None] + np.arange(k)]
+        idx[start:stop] = c[take]
+        sqd[start:stop] = dist[take]
     return idx, sqd

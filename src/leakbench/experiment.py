@@ -60,15 +60,13 @@ REFERENCE_RESULTS: dict[int, dict[str, float]] = {
 DEFAULT_N_VALUES = tuple(REFERENCE_RESULTS)
 
 # Datasets larger than this refuse the all-pairs methods unless
-# allow_quadratic is set.  A kNN self-search, which computes each pair's
-# distance once on a thread per CPU, took 7.6 s for 20,000 rows and 28 s
-# for 40,000 rows (30 features, k=5, both vCPUs of a 2-vCPU host), whose
-# blocks differ by a row (253 and 254 rows, 254 and 255) as they do at
-# this limit (255 and 256): 53 and 57 million
-# query-reference pairs per second, so one all-pairs self-search at this
-# limit (1e10 pairs) takes about 3 minutes.  The cleaning step of
-# SMOTE-ENN and SMOTE-Tomek searches the oversampled rows, up to twice as
-# many, so four times as long.
+# allow_quadratic is set.  A kNN self-search took 2.3 s for 20,000 rows
+# and 11 s for 40,000 rows (30 features, k=5, BLAS on both vCPUs of a
+# 2-vCPU host): 170 and 140 million query-reference pairs per second, as
+# blocks shrink from 13 rows to 6.  One all-pairs self-search at this
+# limit (1e10 pairs, blocks of 2 rows) took about 2 minutes.  The
+# cleaning step of SMOTE-ENN and SMOTE-Tomek searches the oversampled
+# rows, up to twice as many, so four times as long.
 QUADRATIC_ROW_LIMIT = 100_000
 
 SCHEMA_VERSION = "1"

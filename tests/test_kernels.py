@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-import sys
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -113,15 +109,16 @@ def test_knn_bitwise_on_distances_that_overflow_to_inf() -> None:
         np.testing.assert_array_equal(idx, [[1, 2], [0, 2], [0, 1], [0, 1]])
 
 
-def test_knn_bitwise_on_tie_heavy_inputs_over_several_tiles() -> None:
+def test_knn_bitwise_on_tie_heavy_inputs_over_several_tiles(monkeypatch) -> None:
     # rows drawn from a small pool of points on a 0.1 grid: many exact
     # ties, and sums whose last bits depend on the feature order
+    monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 2**16)
     rng = np.random.default_rng(57)
     for trial in range(16):
         d = int(rng.integers(3, 6))
         pool = rng.integers(-20, 21, size=(int(rng.integers(2, 8)), d)) / 10
         n = int(rng.integers(250, 600))
-        assert n > _kernels._tile_shape(n, d)[0]
+        assert n > _kernels._BLOCK_ELEMS // n  # several blocks
         ref = pool[rng.integers(0, len(pool), n)]
         for k in (1, int(rng.integers(2, n - 1)), n - 1):
             if trial % 2 == 0:
@@ -130,42 +127,16 @@ def test_knn_bitwise_on_tie_heavy_inputs_over_several_tiles() -> None:
                 assert_knn_bitwise(pool[rng.integers(0, len(pool), n + 11)], ref, k)
 
 
-def _spy_self_search(monkeypatch) -> list:
-    calls = []
-    real = _kernels._self_knn
-
-    def spy(*args):
-        calls.append(len(args[0]))
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "_self_knn", spy)
-    return calls
-
-
-def _set_cpus(monkeypatch, cpus: int) -> None:
-    monkeypatch.setattr(_kernels, "_cpu_count", lambda: cpus)
-
-
-@pytest.mark.parametrize(
-    ("block", "cpus"),
-    # cpus None keeps the detected count
-    [
-        pytest.param(block, cpus, id=str(block) if cpus is None else f"{block}-cpus{cpus}")
-        for block in (4, 7, 16)
-        for cpus in (None, 1, 2, 3, 5)
-    ],
-)
+@pytest.mark.parametrize("block", [4, 7, 16])
 def test_self_search_bitwise_equals_the_untiled_reference_across_blocks(
-    monkeypatch, block, cpus
+    monkeypatch, block
 ) -> None:
-    monkeypatch.setattr(_kernels, "_SELF_BLOCK", block)
-    if cpus is not None:
-        _set_cpus(monkeypatch, cpus)
-    calls = _spy_self_search(monkeypatch)
     rng = np.random.default_rng(block)
-    # one, two and three blocks, each on and around a block edge
+    # one, two and three blocks, each on and around a block edge, so that
+    # blocks hold 1, a few or many rows
     sizes = sorted({2, 3, *(m * block + e for m in (1, 2, 3) for e in (-1, 0, 1))})
     for n in sizes:
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", block * n)
         d = int(rng.integers(1, 5))
         normal = rng.standard_normal((n, d))
         normal[1::4] = normal[0::4][: len(normal[1::4])]
@@ -177,140 +148,76 @@ def test_self_search_bitwise_equals_the_untiled_reference_across_blocks(
             for k in range(1, min(n - 1, 12) + 1):
                 with np.errstate(over="ignore"):
                     assert_knn_bitwise(x, x, k, np.arange(n, dtype=np.int64))
-    assert len(calls) == 3 * sum(min(n - 1, 12) for n in sizes)
 
 
 def test_self_search_of_an_equal_copy_streams_to_the_same_result(monkeypatch) -> None:
-    monkeypatch.setattr(_kernels, "_SELF_BLOCK", 8)
-    calls = _spy_self_search(monkeypatch)
+    monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 8 * 41)
     rng = np.random.default_rng(23)
     pool = rng.integers(-2, 3, size=(6, 3)).astype(np.float64)
     x = pool[rng.integers(0, len(pool), 41)]
     self_idx = np.arange(41, dtype=np.int64)
     for k in (1, 4, 40):
         idx, sqd = knn(x, x, k, self_idx=self_idx)
-        assert len(calls) == 1
         copy_idx, copy_sqd = knn(x, x.copy(), k, self_idx=self_idx)
-        assert len(calls) == 1
         assert np.array_equal(copy_idx, idx) and np.array_equal(copy_sqd, sqd)
-        calls.clear()
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize(("block", "n"), [(7, 3 * 7 + 1), (_kernels._SELF_BLOCK, 3_800)])
-def test_self_search_tiles_and_scratch_are_contiguous(monkeypatch, block, n, cpus) -> None:
-    # rows that do not split into equal blocks leave most tiles narrower than
-    # their buffers; a strided view runs numpy's per-row loop, and a view
-    # that was a copy would leave the tile unwritten in its ring buffer
-    monkeypatch.setattr(_kernels, "_SELF_BLOCK", block)
-    _set_cpus(monkeypatch, cpus)
-    x = np.random.default_rng(n).standard_normal((n, 4))
-    self_idx = np.arange(n, dtype=np.int64)
-    want = knn(x, x.copy(), 3, self_idx=self_idx)  # the streamed search
-
-    tiles, outs, scratches = [], [], []  # list.append is atomic, so workers may share them
-    scratch_of = {}  # each worker's scratch buffer, by thread
-    real_tiles, real_tile, real_subtract = _kernels._tiles, _kernels._sq_dists_into, np.subtract
-
-    def spy_tiles(pairs, size, compute):
-        def spy_compute(pair, out, diff):
-            tile = compute(pair, out, diff)
-            narrower = tile.shape != out.shape
-            tiles.append((narrower, tile.flags.c_contiguous, np.shares_memory(tile, out)))
-            return tile
-
-        return real_tiles(pairs, size, spy_compute)
-
-    def spy_tile(query, ref_t, out, diff):
-        scratch_of[threading.get_ident()] = diff
-        outs.append(out.flags.c_contiguous)
-        return real_tile(query, ref_t, out, diff)
-
-    def spy_subtract(*args, out=None, **kwargs):
-        diff = scratch_of.get(threading.get_ident())
-        if diff is not None and out is not None:
-            scratches.append(out.flags.c_contiguous and np.shares_memory(out, diff))
-        return real_subtract(*args, out=out, **kwargs)
-
-    monkeypatch.setattr(_kernels, "_tiles", spy_tiles)
-    monkeypatch.setattr(_kernels, "_sq_dists_into", spy_tile)
-    monkeypatch.setattr(np, "subtract", spy_subtract)
-    idx, sqd = knn(x, x, 3, self_idx=self_idx)
-    monkeypatch.undo()
-
-    blocks = -(-n // block)
-    assert len(tiles) == len(outs) == blocks * (blocks + 1) // 2
-    assert len(scratches) == 4 * len(tiles)
-    assert any(narrower for narrower, _, _ in tiles)  # the uneven case is exercised
-    assert all(contiguous and shared for _, contiguous, shared in tiles)
-    assert all(outs) and all(scratches)
-    assert np.array_equal(idx, want[0]) and np.array_equal(sqd, want[1])
+def test_knn_bitwise_where_the_expansion_loses_every_bit_of_the_clusters() -> None:
+    # two clusters 1e6 apart along feature 0, each spread over integers x 1e-7:
+    # |q|^2 + |r|^2 - 2 q.r cancels about 1e12 down to about 1e-12, so its
+    # rounding swamps every in-cluster distance, and only the error bound
+    # keeps the true neighbours among the candidates.  Scaled by 1e-162, the
+    # in-cluster squares underflow, and the bound's absolute term keeps them
+    rng = np.random.default_rng(61)
+    for trial in range(20):
+        d = int(rng.integers(2, 8))
+        n = int(rng.integers(60, 301))
+        x = rng.integers(-5, 6, size=(n, d)) * 1e-7
+        x[: n // 2, 0] += 1e6
+        x = x[rng.permutation(n)]
+        query = x[rng.integers(0, n, n // 3)]
+        for scale in (1.0, 1e-162):
+            for k in (1, 3, 7):
+                if trial % 2 == 0:
+                    assert_knn_bitwise(x * scale, x * scale, k, np.arange(n, dtype=np.int64))
+                else:
+                    assert_knn_bitwise(query * scale, x * scale, k)
 
 
 def test_knn_restores_the_ufunc_buffer_size(monkeypatch) -> None:
-    _set_cpus(monkeypatch, 2)
     rng = np.random.default_rng(29)
     x = rng.standard_normal((300, 4))
-    self_idx = np.arange(300, dtype=np.int64)
     seen = []
     real_tile = _kernels._sq_dists_into
 
     def tile(*args):
-        seen.append((threading.get_ident(), np.getbufsize()))
+        seen.append(np.getbufsize())
         return real_tile(*args)
 
     monkeypatch.setattr(_kernels, "_sq_dists_into", tile)
     old = np.setbufsize(4096)
     try:
-        knn(x, x, 3, self_idx=self_idx)  # two blocks: three tiles on two workers
-        knn(x[:50], x, 3)
+        knn(x, x, 3, self_idx=np.arange(300, dtype=np.int64))
         pairwise_sq_dists(x, x[:7])
         assert np.getbufsize() == 4096
-        assert {size for _, size in seen} == {_kernels._UFUNC_BUFSIZE}
-        assert len({thread for thread, _ in seen}) >= 2  # the workers' calls were seen
+        assert seen == [_kernels._UFUNC_BUFSIZE]
 
-        # an error partway through a search leaves the caller's size too,
-        # whether the caller's fold raises or a worker's tile
-        monkeypatch.setattr(_kernels, "_SELF_BLOCK", 16)
-        real_fold = _kernels._fold
-        folds = itertools.count(1)
+        # an error partway through the tiles leaves the caller's size too
+        def failing_tile(*args):
+            raise RuntimeError("injected tile")
 
-        def failing_fold(*args):
-            if next(folds) == 3:
-                raise RuntimeError("injected fold")
-            return real_fold(*args)
-
-        monkeypatch.setattr(_kernels, "_fold", failing_fold)
-        with pytest.raises(RuntimeError, match="injected fold"):
-            knn(x, x, 3, self_idx=self_idx)
-        assert np.getbufsize() == 4096
-        monkeypatch.setattr(_kernels, "_fold", real_fold)
-        _fail_on_third_tile(monkeypatch)
+        monkeypatch.setattr(_kernels, "_sq_dists_into", failing_tile)
         with pytest.raises(RuntimeError, match="injected tile"):
-            knn(x, x, 3, self_idx=self_idx)
+            pairwise_sq_dists(x, x[:7])
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(old)
 
 
-def _fail_on_third_tile(monkeypatch) -> None:
-    real_tile = _kernels._sq_dists_into
-    calls = itertools.count(1)  # next() on a count is atomic, so workers may share it
-
-    def tile(*args):
-        if next(calls) == 3:
-            raise RuntimeError("injected tile")
-        return real_tile(*args)
-
-    monkeypatch.setattr(_kernels, "_sq_dists_into", tile)
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_workers_run_under_the_callers_error_state(monkeypatch, cpus) -> None:
-    # a new thread starts with numpy's default error state, which warns on overflow
-    _set_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(_kernels, "_SELF_BLOCK", 8)
-    # five blocks, fifteen tiles; squared differences of 1e155 overflow to inf
+def test_search_runs_under_the_callers_error_state(monkeypatch) -> None:
+    # the prefilter ignores every floating-point error; the recompute does not
+    monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 8 * 40)
+    # five blocks; squared differences of 1e155 overflow to inf
     x = np.random.default_rng(41).integers(-2, 3, size=(40, 3)) * 1e155
     self_idx = np.arange(40, dtype=np.int64)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
@@ -323,142 +230,25 @@ def test_workers_run_under_the_callers_error_state(monkeypatch, cpus) -> None:
     assert np.array_equal(idx, ridx) and np.array_equal(sqd, rsqd)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 5])
-def test_self_search_leaves_no_thread_behind(monkeypatch, cpus) -> None:
-    _set_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(_kernels, "_SELF_BLOCK", 16)
-    x = np.random.default_rng(43).standard_normal((200, 4))
-    self_idx = np.arange(200, dtype=np.int64)
-    real_tile = _kernels._sq_dists_into
-    before = threading.active_count()
-    knn(x, x, 3, self_idx=self_idx)
-    assert threading.active_count() == before
-    # a worker's error reaches the caller, and the pool is still taken down
-    _fail_on_third_tile(monkeypatch)
-    with pytest.raises(RuntimeError, match="injected tile"):
-        knn(x, x, 3, self_idx=self_idx)
-    assert threading.active_count() == before
-
-    # a fold's error stops the pool too: the first tile is quick and every
-    # other tile slow, so the ring is still queued when the first fold raises
-    computed = itertools.count()  # next() on a count is atomic, so workers may share it
-
-    def slow_tile(*args):
-        if next(computed):
-            time.sleep(0.05)
-        return real_tile(*args)
-
-    def failing_fold(*args):
-        raise RuntimeError("injected fold")
-
-    monkeypatch.setattr(_kernels, "_sq_dists_into", slow_tile)
-    monkeypatch.setattr(_kernels, "_fold", failing_fold)
-    with pytest.raises(RuntimeError, match="injected fold"):
-        knn(x, x, 3, self_idx=self_idx)
-    assert threading.active_count() == before
-    # the ring holds 2 x workers tiles, but only the tiles the workers had
-    # started when the first tile's fold raised are computed
-    workers = cpus if cpus > 1 else 0
-    assert next(computed) - 1 <= workers
-
-
-def test_one_cpu_computes_every_tile_on_the_calling_thread(monkeypatch) -> None:
-    # a worker on one CPU could only take turns with the caller's folds
-    _set_cpus(monkeypatch, 1)
-    monkeypatch.setattr(_kernels, "_SELF_BLOCK", 16)
-    x = np.random.default_rng(59).standard_normal((200, 4))
-    self_idx = np.arange(200, dtype=np.int64)
-    threads = []
-    real_tile = _kernels._sq_dists_into
-
-    def tile(*args):
-        threads.append(threading.get_ident())
-        return real_tile(*args)
-
-    monkeypatch.setattr(_kernels, "_sq_dists_into", tile)
-    knn(x, x, 3, self_idx=self_idx)
-    blocks = -(-200 // 16)
-    assert len(threads) == blocks * (blocks + 1) // 2
-    assert set(threads) == {threading.get_ident()}
-
-
-def test_self_search_is_exact_under_fast_thread_switches(monkeypatch) -> None:
-    # more workers than cores, switching threads every few microseconds:
-    # a tile folded before it is written, or overwritten before it is
-    # folded, changes a list
-    _set_cpus(monkeypatch, 7)
-    monkeypatch.setattr(_kernels, "_SELF_BLOCK", 8)
-    rng = np.random.default_rng(53)
-    x = rng.integers(-3, 4, size=(120, 3)).astype(np.float64)  # fifteen blocks, 120 tiles
-    self_idx = np.arange(120, dtype=np.int64)
-    want = reference_knn(x, x, 4, self_idx)
-    got = []
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        search = threading.Thread(
-            target=lambda: got.extend(knn(x, x, 4, self_idx=self_idx) for _ in range(20))
-        )
-        search.start()
-        search.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not search.is_alive() and len(got) == 20
-    for idx, sqd in got:
-        assert np.array_equal(idx, want[0]) and np.array_equal(sqd, want[1])
-
-
-def test_self_search_holds_a_bounded_ring_of_tiles(monkeypatch) -> None:
-    workers = 4
-    _set_cpus(monkeypatch, workers)
+def test_search_holds_about_two_blocks_beyond_its_inputs() -> None:
     n, d, k = 3_800, 30, 3
     x = np.random.default_rng(47).standard_normal((n, d))
     self_idx = np.arange(n, dtype=np.int64)
-    blocks = -(-n // _kernels._SELF_BLOCK)
-    size = -(-n // blocks)
-    tile_bytes = size * size * 8
-    assert blocks * (blocks + 1) // 2 > 10 * workers  # far more tiles than the ring holds
-
-    # the first fold waits until the workers stop computing, so that a queue
-    # without a bound would hold every tile at once
-    computed = []  # list.append is atomic, so workers may share it
-    real_tile, real_fold = _kernels._sq_dists_into, _kernels._fold
-
-    def tile(*args):
-        computed.append(1)
-        return real_tile(*args)
-
-    waited = []
-
-    def fold(*args):
-        if not waited:
-            last = -1
-            while (now := len(computed)) != last:
-                last = now
-                time.sleep(0.05)
-            waited.append(now)
-        return real_fold(*args)
-
-    monkeypatch.setattr(_kernels, "_sq_dists_into", tile)
-    monkeypatch.setattr(_kernels, "_fold", fold)
+    block_bytes = _kernels._BLOCK_ELEMS * 8
     peak = peak_traced(lambda: knn(x, x, k, self_idx=self_idx))
-    # the ring's 2 x workers tiles and one scratch tile per worker; the
-    # fold's copies, x transposed and the k-lists take about three more
-    assert waited and waited[0] <= 2 * workers
-    assert peak < (3 * workers + 3) * tile_bytes + 2 * x.nbytes
+    assert peak < 2 * block_bytes + 2 * x.nbytes
 
 
 def test_searches_on_finite_input_raise_no_warning() -> None:
-    # the excluded self is marked nan inside the kernel; no search may warn on it
+    # the prefilter's overflows and the excluded self's inf must not warn
     rng = np.random.default_rng(37)
     x = rng.standard_normal((300, 4))
     x[1::5] = x[0::5]  # exact ties
     self_idx = np.arange(300, dtype=np.int64)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        knn(x, x, 5, self_idx=self_idx)  # self-search, two blocks
-        knn(x, x.copy(), 5, self_idx=self_idx)  # streamed, excluding self
-        knn(x[:50], x, 5)  # streamed, no exclusion
+        knn(x, x, 5, self_idx=self_idx)  # self-search
+        knn(x[:50], x, 5)  # no exclusion
 
 
 def test_kernels_reject_non_finite_input() -> None:
