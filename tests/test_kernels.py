@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -127,9 +129,37 @@ def test_knn_bitwise_on_tie_heavy_inputs_over_several_tiles(monkeypatch) -> None
                 assert_knn_bitwise(pool[rng.integers(0, len(pool), n + 11)], ref, k)
 
 
-@pytest.mark.parametrize("block", [4, 7, 16])
+def _on_threads(cpus, search) -> None:
+    """Run ``search()`` on the calling thread (``cpus`` None), or on ``cpus``
+    threads at once, released together so that their searches overlap.  A
+    search must not depend on which thread runs it or on what the others do,
+    as when one process runs a search per CPU; a thread's assertion error is
+    raised here."""
+    if cpus is None:
+        search()
+        return
+    start = threading.Barrier(cpus)
+
+    def run() -> None:
+        start.wait(timeout=60)
+        search()
+
+    with ThreadPoolExecutor(cpus) as pool:
+        for future in [pool.submit(run) for _ in range(cpus)]:
+            future.result()
+
+
+@pytest.mark.parametrize(
+    ("block", "cpus"),
+    # cpus None searches on the calling thread; cpusN on N threads at once
+    [
+        pytest.param(block, cpus, id=str(block) if cpus is None else f"{block}-cpus{cpus}")
+        for block in (4, 7, 16)
+        for cpus in (None, 1, 2, 3, 5)
+    ],
+)
 def test_self_search_bitwise_equals_the_untiled_reference_across_blocks(
-    monkeypatch, block
+    monkeypatch, block, cpus
 ) -> None:
     rng = np.random.default_rng(block)
     # one, two and three blocks, each on and around a block edge, so that
@@ -144,10 +174,15 @@ def test_self_search_bitwise_equals_the_untiled_reference_across_blocks(
         ties = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
         # squared differences of 1e155 overflow to inf; duplicates stay 0
         huge = ties * 1e155
-        for x in (normal, ties, huge):
-            for k in range(1, min(n - 1, 12) + 1):
-                with np.errstate(over="ignore"):
-                    assert_knn_bitwise(x, x, k, np.arange(n, dtype=np.int64))
+
+        def search(n=n, arrays=(normal, ties, huge)) -> None:
+            # a new thread starts with numpy's default error state
+            with np.errstate(over="ignore"):
+                for x in arrays:
+                    for k in range(1, min(n - 1, 12) + 1):
+                        assert_knn_bitwise(x, x, k, np.arange(n, dtype=np.int64))
+
+        _on_threads(cpus, search)
 
 
 def test_self_search_of_an_equal_copy_streams_to_the_same_result(monkeypatch) -> None:
@@ -214,20 +249,29 @@ def test_knn_restores_the_ufunc_buffer_size(monkeypatch) -> None:
         np.setbufsize(old)
 
 
-def test_search_runs_under_the_callers_error_state(monkeypatch) -> None:
-    # the prefilter ignores every floating-point error; the recompute does not
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_workers_run_under_the_callers_error_state(monkeypatch, cpus) -> None:
+    # the prefilter ignores every floating-point error; the recompute does
+    # not.  On two threads at once, one thread's prefilter overlaps the other's
+    # recompute, and each must see only its own thread's error state
     monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 8 * 40)
     # five blocks; squared differences of 1e155 overflow to inf
     x = np.random.default_rng(41).integers(-2, 3, size=(40, 3)) * 1e155
     self_idx = np.arange(40, dtype=np.int64)
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        knn(x, x, 3, self_idx=self_idx)
-    with warnings.catch_warnings(), np.errstate(over="ignore"):
-        warnings.simplefilter("error")
-        idx, sqd = knn(x, x, 3, self_idx=self_idx)
     with np.errstate(over="ignore"):
         ridx, rsqd = reference_knn(x, x, 3, self_idx)
-    assert np.array_equal(idx, ridx) and np.array_equal(sqd, rsqd)
+
+    def search() -> None:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            knn(x, x, 3, self_idx=self_idx)
+        with np.errstate(over="ignore"):
+            idx, sqd = knn(x, x, 3, self_idx=self_idx)
+        assert np.array_equal(idx, ridx) and np.array_equal(sqd, rsqd)
+
+    # the filters are process-wide, so they are set once, around every thread
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _on_threads(cpus, search)
 
 
 def test_search_holds_about_two_blocks_beyond_its_inputs() -> None:
