@@ -62,7 +62,9 @@ def assert_knn_bitwise(query, ref, k, self_idx=None) -> None:
     assert np.array_equal(sqd, rsqd)
 
 
-CAP = _kernels._TILE_COLS
+# the ids name reference sizes around 8,192 rows, once the widest distance
+# tile; the default 2**18-element blocks are then 32 or 31 query rows high
+CAP = 8192
 
 
 @pytest.mark.parametrize("n_ref", [1, CAP - 1, CAP, CAP + 1])
@@ -73,8 +75,8 @@ def test_kernels_bitwise_equal_the_untiled_reference_across_tile_edges(n_ref) ->
     # triples of equal rows, so that searches meet exact ties
     ref[1::3] = ref[0::3][: len(ref[1::3])]
     ref[2::3] = ref[0::3][: len(ref[2::3])]
-    rows, _ = _kernels._tile_shape(n_ref, d)
-    n_query = rows + 3  # not a multiple of the tile height
+    rows = max(1, _kernels._BLOCK_ELEMS // max(n_ref, d))
+    n_query = rows + 3  # a row-block edge with a remainder
     query = rng.standard_normal((n_query, d))
     query[::4] = ref[rng.integers(0, n_ref, len(query[::4]))]
     assert np.array_equal(pairwise_sq_dists(query, ref), reference_sq_dists(query, ref))
@@ -166,8 +168,8 @@ def test_self_search_bitwise_equals_the_untiled_reference_across_blocks(
     # blocks hold 1, a few or many rows
     sizes = sorted({2, 3, *(m * block + e for m in (1, 2, 3) for e in (-1, 0, 1))})
     for n in sizes:
-        monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", block * n)
         d = int(rng.integers(1, 5))
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", block * max(n, d))
         normal = rng.standard_normal((n, d))
         normal[1::4] = normal[0::4][: len(normal[1::4])]
         # few distinct integer points: exact ties and duplicate rows
@@ -219,34 +221,35 @@ def test_knn_bitwise_where_the_expansion_loses_every_bit_of_the_clusters() -> No
                     assert_knn_bitwise(query * scale, x * scale, k)
 
 
-def test_knn_restores_the_ufunc_buffer_size(monkeypatch) -> None:
+def test_pairwise_bitwise_equals_the_untiled_reference_across_row_blocks(monkeypatch) -> None:
     rng = np.random.default_rng(29)
-    x = rng.standard_normal((300, 4))
-    seen = []
-    real_tile = _kernels._sq_dists_into
+    rows, d = 5, 4
+    # one reference row, as k-means seeding passes, and a few
+    for n_ref in (1, 7):
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", rows * max(n_ref, d))
+        for n in (m * rows + e for m in (1, 2, 3) for e in (-1, 0, 1)):
+            # few distinct integer points: exact ties and zero distances
+            query = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+            ref = query[rng.integers(0, n, n_ref)]
+            ref[0, 0] += 1.0  # at least one nonzero difference
+            # squared differences of 1e155 overflow to inf; equal rows stay 0
+            for scale in (1.0, 1e155):
+                with np.errstate(over="ignore"):
+                    got = pairwise_sq_dists(query * scale, ref * scale)
+                    want = reference_sq_dists(query * scale, ref * scale)
+                assert np.array_equal(got, want)
+            assert np.isinf(want).any()  # some of the 1e155 distances overflow
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                pairwise_sq_dists(query * 1e155, ref * 1e155)
 
-    def tile(*args):
-        seen.append(np.getbufsize())
-        return real_tile(*args)
 
-    monkeypatch.setattr(_kernels, "_sq_dists_into", tile)
-    old = np.setbufsize(4096)
-    try:
-        knn(x, x, 3, self_idx=np.arange(300, dtype=np.int64))
-        pairwise_sq_dists(x, x[:7])
-        assert np.getbufsize() == 4096
-        assert seen == [_kernels._UFUNC_BUFSIZE]
-
-        # an error partway through the tiles leaves the caller's size too
-        def failing_tile(*args):
-            raise RuntimeError("injected tile")
-
-        monkeypatch.setattr(_kernels, "_sq_dists_into", failing_tile)
-        with pytest.raises(RuntimeError, match="injected tile"):
-            pairwise_sq_dists(x, x[:7])
-        assert np.getbufsize() == 4096
-    finally:
-        np.setbufsize(old)
+def test_pairwise_holds_about_one_block_beyond_its_output() -> None:
+    # k-means seeding's shape: many query rows against one reference row
+    query = np.random.default_rng(53).standard_normal((50_000, 30))
+    out_bytes = len(query) * 8
+    peak = peak_traced(lambda: pairwise_sq_dists(query, query[:1]))
+    # a broadcast (n, 1, d) temporary alone would take 12 MB
+    assert peak < out_bytes + 2 * _kernels._BLOCK_ELEMS * 8
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -21,6 +21,8 @@ WORKER_NAMES = [
     ("experiment", "emit_report"),
     ("config", "build_grid_config"),
 ]
+# numpy calls that set process-wide state, which every thread of a process shares
+NUMPY_GLOBAL_SETTERS = {"setbufsize", "seterr", "seterrcall", "set_printoptions"}
 
 
 # a star import raises AttributeError on a name in __all__ that the module does not define
@@ -59,3 +61,17 @@ def test_every_name_perfbench_wraps_or_calls_resolves_in_leakbench():
         if not callable(getattr(importlib.import_module(f"leakbench.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_no_src_module_sets_numpys_global_state():
+    # np.errstate blocks are allowed: they restore the state on exit.  A search
+    # that set the ufunc buffer or the error state for the whole process would
+    # change it under every other thread that searches at the same time
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(leakbench.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in NUMPY_GLOBAL_SETTERS
+    ]
+    assert calls == []
