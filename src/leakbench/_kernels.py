@@ -18,44 +18,60 @@ outgrow the cache: 2,000 x 2,000 takes 3-4x as long as cache-sized tiles.
 candidates with the expansion, one matrix product on BLAS, under a
 rigorous bound on its rounding error.  Both sides are first centred on
 ``ref``'s column mean: that leaves every difference q - r as it was but
-shrinks the norms, and so the bound.  For query row i and
-reference row j (centred, d features) the block holds
-``a_ij = |r_j|^2 - 2 q_i.r_j``; the expansion's ``|q_i|^2`` is the same
-for every column of the row, so it is left out.  With u = eps / 2 and
-gamma_m = m u / (1 - m u), the error analysis of dot products in Higham,
-*Accuracy and Stability of Numerical Algorithms* (2nd ed., 2002), ch. 3,
-bounds the rounding of a_ij, of the centring and of the sum itself
-together by
+shrinks the norms, and so the bound.  For query row i and reference row
+j (centred, d features) the product of ``[q_i, 1]`` and
+``[-2 r_j, |r_j|^2]`` gives ``a_ij = |r_j|^2 - 2 q_i.r_j``; the expansion's
+``|q_i|^2`` is the same for every column of the row, so it is left out.
+With u = eps / 2 and gamma_m = m u / (1 - m u), the error analysis of
+dot products in Higham, *Accuracy and Stability of Numerical Algorithms*
+(2nd ed., 2002), ch. 3, bounds the rounding of a_ij, of the centring and
+of the sum itself together by
 
     e_i = 4 gamma_{d+4} (|q_i| + max_j |r_j|)^2 + tiny,
 
 about twice what they need, which covers the rounding of the bound
-itself.  ``tiny``, the smallest normal float64, covers the absolute error
-of products that underflow.  So every sum s_ij, less |q_i|^2, is within
-e_i of a_ij, whatever BLAS's summation order.  If c is the k-th smallest
-a_ij of row i, k eligible rows have sums at most c + e_i (plus |q_i|^2),
-so the k-th smallest sum is too, and every row whose sum ties or beats
-it has a_ij at most ``cut_i = c + 2 e_i``.  The columns at or below
-cut_i are the candidates; their sums are recomputed from the raw rows
-in the order above, and a stable sort by (row, sum, index) takes the
-first k.  The lists are those of a full stable sort of every sum,
-however near the ties, for a few sums per row.  FAISS runs exact search
-through the same expansion on GEMM (Johnson, Douze and Jegou,
-"Billion-scale similarity search with GPUs", IEEE Trans. Big Data,
-2019); the bound and the recompute remove its loss of precision.
+itself: a_ij is one dot product of d + 1 terms, whose rounding is at
+most gamma_{d+1} (2 |q_i| |r_j| + |r_j|^2), below
+gamma_{d+1} (|q_i| + |r_j|)^2, and so no more than a d-term product
+plus a separate add of |r_j|^2.  ``tiny``, the smallest normal float64,
+covers the absolute error of products that underflow.  So every sum
+s_ij, less |q_i|^2, is within e_i of a_ij, whatever BLAS's summation
+order.  If c is the k-th smallest a_ij of row i, k eligible rows have
+sums at most c + e_i (plus |q_i|^2), so the k-th smallest sum is too,
+and every row whose sum ties or beats it has a_ij at most c + 2 e_i.
 
-A row's excluded self is set to inf before the k-th smallest a_ij is
-taken, and it is never a candidate.  When cut_i is not finite (inf or
-nan) the whole row is recomputed.  That covers overflow: a sum that
-overflows has |q_i - r_j|^2 > DBL_MAX / 2, so (2 (|q_i| + max_j |r_j|))^2
-overflows, e_i is inf, and every pair of the row is summed as an
-exhaustive search sums it.  The prefilter runs with every floating-point
-error ignored, since an overflow there only widens a bound; the sums run
-under the caller's error state, so ``over="raise"`` raises exactly when
-an exhaustive search would.
+c takes a partition of every column; any cut at or above it does as
+well.  The block's columns, padded with inf to g slabs of w, form w
+groups: column j + s w (s < g) is in group j.  The group minima take one
+pass over the block, and the k-th smallest of a row's, m_i, is the a_ij
+of one of k distinct columns, so m_i >= c, and ``cut_i = m_i + 2 e_i``
+needs a partition of w minima, not of n_ref columns.  The candidates,
+the columns at or below cut_i, are gathered from the groups whose
+minimum is, and sorted by position so that each row's stay in column
+order.  Their sums are recomputed from the raw rows in the order above,
+and a stable sort by (row, sum, index) takes the first k.  The lists are
+those of a full stable sort of every sum, however near the ties, for a
+few sums per row.  g is ``n_ref // (16 (k + 1))`` clipped to 1..16, so a
+row partitions at least 16 (k + 1) minima and reads at most 16 columns
+per hit group; references below 32 (k + 1) rows keep g = 1, one column
+per group.  FAISS runs exact search through the same expansion on GEMM
+(Johnson, Douze and Jegou, "Billion-scale similarity search with GPUs",
+IEEE Trans. Big Data, 2019); the bound and the recompute remove its
+loss of precision.
 
-A ``knn`` block holds at most about 2 MB of a_ij, plus a partitioned
-copy, and a centred copy of ``ref`` is held for the whole search.  The
+A row's excluded self is set to inf before the group minima are taken,
+and it is never a candidate, nor is a pad.  When cut_i is not finite
+(inf or nan) the whole row is recomputed.  That covers overflow: a sum
+that overflows has |q_i - r_j|^2 > DBL_MAX / 2, so
+(2 (|q_i| + max_j |r_j|))^2 overflows, e_i is inf, and every pair of the
+row is summed as an exhaustive search sums it.  The prefilter runs with
+every floating-point error ignored, since an overflow there only widens
+a bound; the sums run under the caller's error state, so
+``over="raise"`` raises exactly when an exhaustive search would.
+
+A ``knn`` block holds at most about 2 MB of a_ij, plus the group minima
+(a partitioned copy of the block when g is 1), and a centred copy of
+``ref`` with its column of |r_j|^2 is held for the whole search.  The
 matrix product runs on BLAS's own threads, the one level of parallelism
 in the kernels; the rest runs on the calling thread.
 
@@ -78,6 +94,10 @@ _BLOCK_ELEMS = 2**18
 # absolute error of the products that underflow
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
+_MAX = np.finfo(np.float64).max
+# A kNN search cuts its columns into groups of at most this many; see the
+# module docstring
+_GROUP = 16
 
 
 def backend_name() -> str:
@@ -101,11 +121,8 @@ def _as_pair(query: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return query, ref
 
 
-def _row_blocks(query: np.ndarray, n_ref: int):
-    n_query, n_features = query.shape
-    rows = max(1, _BLOCK_ELEMS // max(1, n_ref, n_features))
-    for start in range(0, n_query, rows):
-        yield start, min(n_query, start + rows)
+def _block_rows(query: np.ndarray, n_ref: int) -> int:
+    return max(1, _BLOCK_ELEMS // max(1, n_ref, query.shape[1]))
 
 
 def _sq_sums(q_cols, r_cols, out: np.ndarray) -> None:
@@ -121,8 +138,10 @@ def pairwise_sq_dists(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape (n_query, n_ref)."""
     query, ref = _as_pair(query, ref)
     out = np.empty((query.shape[0], ref.shape[0]))
-    for start, stop in _row_blocks(query, ref.shape[0]):
-        _sq_sums((col[:, None] for col in query[start:stop].T), ref.T, out[start:stop])
+    rows = _block_rows(query, ref.shape[0])
+    for start in range(0, len(query), rows):
+        block = slice(start, start + rows)
+        _sq_sums((col[:, None] for col in query[block].T), ref.T, out[block])
     return out
 
 
@@ -144,12 +163,13 @@ def knn(
         self_idx = np.asarray(self_idx)
         if self_idx.dtype.kind not in "iu":  # a cast would read a mask as rows 0 and 1
             raise ValueError(f"self_idx must hold integer row ids, not {self_idx.dtype}")
-        self_idx = np.ascontiguousarray(self_idx, dtype=np.int64)
         if self_idx.shape != (query.shape[0],):
             raise ValueError("self_idx must have one entry per query row")
+        # checked before the cast, which would wrap 2**64 - 1 to -1
         bad = self_idx[(self_idx < -1) | (self_idx >= n_ref)]
         if len(bad):
             raise ValueError(f"self_idx entry {bad[0]} is neither -1 nor a row of ref")
+        self_idx = np.ascontiguousarray(self_idx, dtype=np.int64)
     if k < 1:
         raise ValueError("k must be at least 1")
     eligible = n_ref - (1 if np.any(self_idx >= 0) else 0)
@@ -160,30 +180,50 @@ def knn(
     # gamma_{d+4} (Higham, ch. 3); see the module docstring for the bound
     m = n_features + 4
     gamma = m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)
+    g = max(1, min(_GROUP, n_ref // (_GROUP * (k + 1))))
+    w = -(-n_ref // g)
+    cols = g * w
+    rows = _block_rows(query, n_ref)
     idx = np.empty((n_query, k), dtype=np.int64)
     sqd = np.empty((n_query, k))
     with np.errstate(all="ignore"):
         mean = ref.mean(axis=0)
-        ref_c = ref - mean
-        ref_sq = np.einsum("ij,ij->i", ref_c, ref_c)
-        ref_norm = np.sqrt(ref_sq.max())
-        ref_c *= -2.0  # exact, so the product below is -2 q.r
-    for start, stop in _row_blocks(query, n_ref):
+        # row j is [-2 r_j, |r_j|^2] for the centred reference row r_j
+        ref_aug = np.empty((n_ref, n_features + 1))
+        ref_c = np.subtract(ref, mean, out=ref_aug[:, :-1])
+        ref_aug[:, -1] = np.einsum("ij,ij->i", ref_c, ref_c)
+        ref_norm = np.sqrt(ref_aug[:, -1].max())
+        ref_c *= -2.0  # exact
+    # a block's rows [q_i, 1], and its a_ij, whose pad columns stay inf
+    q_aug = np.ones((min(n_query, rows), n_features + 1))
+    approx = np.full((len(q_aug), cols), np.inf)
+    for start in range(0, n_query, rows):
+        stop = min(n_query, start + rows)
         excl = self_idx[start:stop]
         own = np.nonzero(excl >= 0)[0]
+        q_c, a = q_aug[: stop - start, :-1], approx[: stop - start]
         with np.errstate(all="ignore"):
-            q_c = query[start:stop] - mean
+            np.subtract(query[start:stop], mean, out=q_c)
             q_sq = np.einsum("ij,ij->i", q_c, q_c)
-            approx = q_c @ ref_c.T
-            approx += ref_sq
-            approx[own, excl[own]] = np.inf
+            np.matmul(q_aug[: stop - start], ref_aug.T, out=a[:, :n_ref])
+            a[own, excl[own]] = np.inf
+            gmin = a if g == 1 else a.reshape(len(a), g, w).min(axis=1)
             err = gamma * (2.0 * (np.sqrt(q_sq) + ref_norm)) ** 2 + _TINY
-            cut = np.partition(approx, k - 1, axis=1)[:, k - 1] + 2.0 * err
-            keep = approx <= cut[:, None]
-        keep[~np.isfinite(cut)] = True
-        keep[own, excl[own]] = False
-        # row-major positions, so rows come out sorted
-        r, c = np.divmod(np.flatnonzero(keep), n_ref)
+            cut = np.partition(gmin, k - 1, axis=1)[:, k - 1] + 2.0 * err
+        whole = ~np.isfinite(cut)
+        if whole.any():  # every column but the pads and the excluded self
+            a[whole, :n_ref] = gmin[whole] = -np.inf
+            a[own, excl[own]] = np.inf
+            cut[whole] = _MAX
+        if g == 1:
+            pos = np.flatnonzero(a <= cut[:, None])
+        else:
+            hit = np.flatnonzero(gmin <= cut[:, None])
+            row = hit // w
+            # a hit group's column in each slab; sorted, the rows come out in order
+            flat = (hit + row * (cols - w))[:, None] + w * np.arange(g)
+            pos = np.sort(flat[a.ravel()[flat] <= cut[row, None]])
+        r, c = np.divmod(pos, cols)
         dist = np.empty(len(r))
         # one candidate-sized vector per feature, not candidates x features
         _sq_sums((col[r] for col in query[start:stop].T), (col[c] for col in ref.T), dist)

@@ -187,6 +187,52 @@ def test_self_search_bitwise_equals_the_untiled_reference_across_blocks(
         _on_threads(cpus, search)
 
 
+@pytest.mark.parametrize("group", [2, 3, 16])
+def test_knn_bitwise_across_group_edges(monkeypatch, group) -> None:
+    # g = n_ref // (group * (k + 1)) slabs, from 1 to group: the sizes sit on
+    # and around the edges where g steps up, among them k + 1 (one column
+    # per group) and 2 * group * (k + 1) + 1, where g = 2 and the last
+    # group's second column is a pad, so that a row's excluded self is
+    # alone in a 2-column group
+    monkeypatch.setattr(_kernels, "_GROUP", group)
+    rng = np.random.default_rng(group)
+    for k in (1, 3):
+        edge = group * (k + 1)
+        sizes = {k + 1} | {m * edge + e for m in (1, 2, 3, group) for e in (-1, 0, 1)}
+        for n in sorted(n for n in sizes if n > k):
+            d = int(rng.integers(1, 5))
+            normal = rng.standard_normal((n, d))
+            # few distinct integer points: exact ties and duplicate rows
+            ties = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+            for x in (normal, ties, ties * 1e155):  # 1e155 overflows some sums
+                query = x[rng.integers(0, n, 40)]
+                with np.errstate(over="ignore"):
+                    assert_knn_bitwise(x, x, k, np.arange(n, dtype=np.int64))
+                    assert_knn_bitwise(query, x, k)
+
+
+def test_search_recomputes_about_k_sums_per_row(monkeypatch) -> None:
+    # the prefilter's work, counted without a clock: the sums it leaves to
+    # recompute, at most k + 1 a row on average on Gaussian rows
+    counted = []
+    sq_sums = _kernels._sq_sums
+
+    def spy(q_cols, r_cols, out) -> None:
+        counted.append(out.size)
+        sq_sums(q_cols, r_cols, out)
+
+    monkeypatch.setattr(_kernels, "_sq_sums", spy)
+    rng = np.random.default_rng(67)
+    k = 3
+    x = rng.standard_normal((3_800, 30))
+    # nearmiss1's shape: every row against a narrow minority reference
+    rows, minority = rng.standard_normal((19_900, 30)), rng.standard_normal((100, 30))
+    for query, ref, self_idx in ((x, x, np.arange(len(x))), (rows, minority, None)):
+        counted.clear()
+        knn(query, ref, k, self_idx=self_idx)
+        assert sum(counted) <= (k + 1) * len(query)
+
+
 def test_self_search_of_an_equal_copy_streams_to_the_same_result(monkeypatch) -> None:
     monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 8 * 41)
     rng = np.random.default_rng(23)
@@ -428,6 +474,12 @@ def test_knn_rejects_a_self_idx_entry_outside_ref() -> None:
         for ref in (x, x.copy()):  # self-search and streamed
             with pytest.raises(ValueError, match=rf"self_idx entry {bad} is neither -1 nor a row"):
                 knn(x, ref, 2, self_idx=self_idx)
+    # unsigned ids are checked as given: 2**64 - 1 used to wrap to -1 and
+    # turn the exclusion off, and 2**63 was named as a negative number
+    for bad in (2**64 - 1, 2**63):
+        for ref in (x, x.copy()):
+            with pytest.raises(ValueError, match=rf"self_idx entry {bad} is neither -1 nor a row"):
+                knn(x, ref, 2, self_idx=np.full(6, bad, dtype=np.uint64))
     # -1 excludes nothing and the last row of ref is a row
     self_idx = np.array([-1, 1, 2, 3, 4, 5])
     idx, sqd = knn(x, x, 2, self_idx=self_idx)
