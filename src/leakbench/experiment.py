@@ -60,11 +60,11 @@ REFERENCE_RESULTS: dict[int, dict[str, float]] = {
 DEFAULT_N_VALUES = tuple(REFERENCE_RESULTS)
 
 # Datasets larger than this refuse the all-pairs methods unless
-# allow_quadratic is set.  A kNN self-search took 1.7-1.9 s for 20,000
-# rows and 9-10 s for 40,000 rows (30 features, k=5, BLAS on both vCPUs of
-# a 2-vCPU host): about 220 and 170 million query-reference pairs per
-# second, as blocks shrink from 13 rows to 6.  One all-pairs self-search
-# at this limit (1e10 pairs, blocks of 2 rows) took about 90 s.  The
+# allow_quadratic is set.  A kNN self-search took 0.8-0.9 s for 20,000
+# rows and 4.3-4.5 s for 40,000 rows (30 features, k=5, BLAS on both vCPUs
+# of a 2-vCPU host): about 490 and 360 million query-reference pairs per
+# second, as blocks shrink from 26 rows to 13.  One all-pairs self-search
+# at this limit (1e10 pairs, blocks of 5 rows) took about 40 s.  The
 # cleaning step of SMOTE-ENN and SMOTE-Tomek searches the oversampled
 # rows, up to twice as many, so four times as long.
 QUADRATIC_ROW_LIMIT = 100_000

@@ -75,7 +75,8 @@ def test_kernels_bitwise_equal_the_untiled_reference_across_tile_edges(n_ref) ->
     # triples of equal rows, so that searches meet exact ties
     ref[1::3] = ref[0::3][: len(ref[1::3])]
     ref[2::3] = ref[0::3][: len(ref[2::3])]
-    rows = max(1, _kernels._BLOCK_ELEMS // max(n_ref, d))
+    # a float32 product's block height, twice a float64 one's
+    rows = _kernels._block_rows(ref, n_ref, itemsize=4)
     n_query = rows + 3  # a row-block edge with a remainder
     query = rng.standard_normal((n_query, d))
     query[::4] = ref[rng.integers(0, n_ref, len(query[::4]))]
@@ -265,6 +266,97 @@ def test_knn_bitwise_where_the_expansion_loses_every_bit_of_the_clusters() -> No
                     assert_knn_bitwise(x * scale, x * scale, k, np.arange(n, dtype=np.int64))
                 else:
                     assert_knn_bitwise(query * scale, x * scale, k)
+
+
+def _spy_product_dtype(monkeypatch) -> list:
+    """Record the dtype each search picks for its matrix product."""
+    picked = []
+    product_dtype = _kernels._product_dtype
+
+    def spy(*args):
+        picked.append(product_dtype(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(_kernels, "_product_dtype", spy)
+    return picked
+
+
+# the product's dtype at each scale of the rows below: float32 while
+# (2 (Q + R))^2, Q and R the norm bounds from the column extremes, stays in
+# its normal range; at 1e-20 it does, but the products underflow float32
+SCALES = {
+    1e-40: np.float64,
+    1e-20: np.float32,
+    1.0: np.float32,
+    1e17: np.float32,
+    1e19: np.float64,
+    1e30: np.float64,
+    1e155: np.float64,  # some sums overflow float64
+}
+
+
+@pytest.mark.parametrize("scale", list(SCALES), ids=str)
+def test_knn_bitwise_across_magnitudes_in_both_product_dtypes(monkeypatch, scale) -> None:
+    picked = _spy_product_dtype(monkeypatch)
+    # float32 blocks of 16 rows, float64 blocks of 8
+    monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 8 * 250)
+    rng = np.random.default_rng(71)
+    n, d = 250, 3
+    normal = rng.standard_normal((n, d))
+    normal[1::4] = normal[0::4][: len(normal[1::4])]  # exact ties
+    ties = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    for x in (normal * scale, ties * scale):
+        query = x[rng.integers(0, n, 37)]
+        with np.errstate(over="ignore"):
+            for k in (1, 4, 17):
+                picked.clear()
+                assert_knn_bitwise(x, x, k, np.arange(n, dtype=np.int64))
+                assert_knn_bitwise(query, x, k)
+                assert picked == [SCALES[scale]] * 2
+
+
+def test_knn_bitwise_where_float32_products_underflow(monkeypatch) -> None:
+    # reference rows about 1e-22 across and a query that also holds a row at
+    # 1: the rule picks float32, whose a_ij near the reference round to a few
+    # subnormal bits, and only the bound's tiny term keeps the neighbours
+    picked = _spy_product_dtype(monkeypatch)
+    rng = np.random.default_rng(79)
+    for scale in (1e-21, 1e-22, 1e-23):
+        x = rng.standard_normal((200, 3)) * scale
+        query = x[rng.integers(0, 200, 40)] + rng.standard_normal((40, 3)) * scale
+        query[0] = 1.0
+        for k in (1, 3):
+            assert_knn_bitwise(query, x, k)
+    assert set(picked) == {np.float32}
+
+
+def test_knn_near_ties_below_float32_resolution_reach_the_recompute(monkeypatch) -> None:
+    # rows 1-4 lie at squared distances 1 + 2^-52, 1, 1 and 1 + 2^-52 from
+    # the query: one float64 ulp apart, far below what the float32 product
+    # resolves, so all four must be recomputed and ordered by their sums,
+    # and ties by index
+    picked = _spy_product_dtype(monkeypatch)
+    recomputed = []
+    sq_sums = _kernels._sq_sums
+
+    def spy(q_cols, r_cols, out) -> None:
+        r_cols = list(r_cols)
+        recomputed.append(np.column_stack(r_cols))
+        sq_sums(q_cols, r_cols, out)
+
+    monkeypatch.setattr(_kernels, "_sq_sums", spy)
+    t = 2.0**-26
+    near = np.array([[1.0, t], [1.0, 0.0], [0.0, 1.0], [1.0, -t]])
+    far = 3.0 + np.random.default_rng(73).random((300, 2))  # 3 or more from the query
+    ref = np.vstack([far[:1], near, far[1:]])
+    query = np.zeros((1, 2))
+    for k, want in ((1, [2]), (2, [2, 3]), (4, [2, 3, 1, 4])):
+        recomputed.clear()
+        assert_knn_bitwise(query, ref, k)
+        assert knn(query, ref, k)[0].tolist() == [want]
+        assert picked[-1] == np.float32
+        for row in near:
+            assert any((rows == row).all(axis=1).any() for rows in recomputed)
 
 
 def test_pairwise_bitwise_equals_the_untiled_reference_across_row_blocks(monkeypatch) -> None:
